@@ -33,20 +33,25 @@ import (
 //	}
 //	gw.Close()
 //
-// Internally the gateway keeps a bounded ring of recent samples, scans each
-// newly arrived region for preambles incrementally, and decodes a packet
-// once the air has moved past its end (by which time every transmission
-// that could interfere with it has itself been detected, so the CIC
-// boundary bookkeeping is complete).
+// Internally the gateway keeps a bounded ring of recent samples and scans
+// each newly arrived region for preambles incrementally. A packet that
+// starts at sample t is detected by the time t plus the detection horizon
+// (15.25 symbols) has been written, so a span of air can be decoded once
+// the horizon past its end is on air: every transmission that could
+// interfere with it is tracked by then, and the CIC boundary bookkeeping
+// is complete.
 //
-// Decoding is pipelined: the ingest goroutine detects preambles, decodes
-// each completed packet's header (cheap, and order-sensitive — header
-// decode fixes the packet length that later packets' boundary bookkeeping
-// depends on), snapshots the packet's samples out of the ring with a
-// two-segment bulk copy, and hands the expensive payload demodulation to a
-// pool of workers, each owning a private core.Demodulator. A reorder
-// buffer delivers results on Packets() in dispatch (air-time) order, so
-// the output sequence is identical to a single-worker gateway.
+// Dispatch runs in two stages, both on the ingest goroutine and both in
+// start (air-time) order. The header stage decodes a packet's 8 header
+// symbols once the horizon past them is on air; this fixes the packet's
+// length, which later packets' boundary bookkeeping reads, and assigns its
+// sequence number. The payload stage waits for the horizon past the
+// packet's real end, then snapshots its samples out of the ring with a
+// two-segment bulk copy and hands the expensive payload demodulation to a
+// pool of workers, each owning a private core.Demodulator. A short packet
+// therefore leaves shortly after it ends, not after a max-length airtime
+// budget. A reorder buffer delivers results on Packets() in sequence
+// order, so the output sequence is identical to a single-worker gateway.
 // Backpressure is bounded by the pool depth: when every worker is busy and
 // the job queue is full, Write blocks.
 //
@@ -60,20 +65,23 @@ type Gateway struct {
 	out     chan Packet
 	maxPkt  int64 // samples in a max-length packet
 	scanLag int64 // how far detection trails the newest sample
+	horizon int64 // samples past a packet's start by which it is detected
 	workers int
 
 	// Ingest state, guarded by wmu (Write, Close and the flush path
 	// serialise on it; ring samples are only touched while holding it).
-	wmu      sync.Mutex
-	closed   bool
-	buf      []complex128 // ring storage: sample a lives at buf[a%len(buf)]
-	base     atomic.Int64 // absolute index of the oldest retained sample
-	written  atomic.Int64 // absolute index one past the newest sample
-	scanned  int64        // scan frontier (exclusive)
-	pending  []*rx.Packet // detected, not yet dispatched
-	active   []*rx.Packet // all tracked packets still relevant as interferers
-	maxIDSeq int
-	seq      int64 // dispatch sequence number (reorder key)
+	wmu       sync.Mutex
+	closed    bool
+	buf       []complex128 // ring storage: sample a lives at buf[a%len(buf)]
+	base      atomic.Int64 // absolute index of the oldest retained sample
+	written   atomic.Int64 // absolute index one past the newest sample
+	scanned   int64        // scan frontier (exclusive)
+	pending   []*rx.Packet // detected, header not yet decoded
+	queued    []decodeJob  // header decoded, awaiting the payload stage (seq order)
+	hdrOthers []*rx.Packet // header-stage interferer scratch
+	active    []*rx.Packet // all tracked packets still relevant as interferers
+	maxIDSeq  int
+	seq       int64 // next sequence number, assigned at the header stage (reorder key)
 
 	jobs        chan decodeJob
 	results     chan seqPacket
@@ -114,7 +122,7 @@ type decodeJob struct {
 	ready  bool   // result is final (header failed): just forward it
 	result Packet // prefilled Start/SNR/CFO; final when ready
 
-	pkt       *rx.Packet   // private clone, NSymbols refined from the header
+	pkt       *rx.Packet   // tracked packet while queued; private clone once dispatched
 	others    []*rx.Packet // private clones of the interferer geometry
 	syms      []uint16     // header symbols (cap covers the payload)
 	snap      []complex128 // samples [snapStart, snapStart+len(snap))
@@ -122,9 +130,10 @@ type decodeJob struct {
 	snapBuf   *[]complex128 // pool token for snap
 
 	// Trace context (zero-valued when metrics and tracing are off).
-	id         int            // packet ID assigned at detection
-	detectedAt time.Time      // wall-clock detection instant
-	gates      obs.GateCounts // header-phase gate verdicts
+	id          int            // packet ID assigned at detection
+	detectedAt  time.Time      // wall-clock detection instant
+	gates       obs.GateCounts // header-phase gate verdicts
+	dispatchDur time.Duration  // header-stage share of stage_dispatch_seconds
 }
 
 // seqPacket is a decoded packet tagged with its dispatch sequence number
@@ -195,6 +204,12 @@ func NewGateway(cfg Config, options ...Option) (*Gateway, error) {
 		out:     make(chan Packet, 64),
 		maxPkt:  maxPkt,
 		scanLag: 2 * m,
+		// A packet's down-chirps end PreambleSampleCount past its start;
+		// the scan reaches them scanLag later, and one more symbol covers
+		// the scan's half-symbol grid and the refinement reads around the
+		// anchor. Every detection lands within this horizon (pinned by
+		// TestGatewayDetectionHorizon).
+		horizon: int64(fc.PreambleSampleCount()) + 3*m,
 		workers: workers,
 		// Ring must hold the longest packet plus detection lag plus a full
 		// scan region; triple the packet length is comfortably enough.
@@ -212,10 +227,9 @@ func NewGateway(cfg Config, options ...Option) (*Gateway, error) {
 	if o.metrics != nil || o.tracer != nil {
 		g.detectedAt = make(map[int]time.Time)
 	}
-	g.snapPool.New = func() any {
-		s := make([]complex128, maxPkt)
-		return &s
-	}
+	// Snapshot buffers are sized on demand: a pooled buffer grows only
+	// when a longer packet needs it.
+	g.snapPool.New = func() any { return new([]complex128) }
 	dms := make([]*core.Demodulator, workers)
 	for w := range dms {
 		if dms[w], err = core.NewDemodulator(fc, coreOpts); err != nil {
@@ -343,9 +357,11 @@ func (r ringSource) Span() (int64, int64) {
 	return r.g.base.Load(), r.g.written.Load()
 }
 
-// process advances detection and dispatches completed packets to the
-// worker pool. flush forces dispatch of everything currently buffered.
-// Caller holds wmu.
+// process advances detection, then runs the two dispatch stages in
+// air-time order. Each stage waits for the detection horizon past the
+// span it reads, by which time every transmission that could overlap that
+// span has been detected; flush forces both stages over everything
+// currently buffered. Caller holds wmu.
 func (g *Gateway) process(flush bool) {
 	src := ringSource{g}
 	written := g.written.Load()
@@ -389,103 +405,132 @@ func (g *Gateway) process(flush bool) {
 		g.scanned = scanTo
 	}
 
-	// Dispatch pending packets whose span is complete (or everything on
-	// flush), oldest first — the sequence number assigned at dispatch keys
-	// the reorder buffer, so delivery order matches this selection order.
-	for {
-		var next *rx.Packet
-		idx := -1
+	// Header stage, oldest start first: the sequence number assigned here
+	// keys the reorder buffer, so delivery order matches this order.
+	for len(g.pending) > 0 {
+		idx := 0
 		for i, p := range g.pending {
-			if flush || p.End(g.fcfg)+g.scanLag <= written {
-				if next == nil || p.Start < next.Start {
-					next, idx = p, i
-				}
+			if p.Start < g.pending[idx].Start {
+				idx = i
 			}
 		}
-		if next == nil {
-			return
+		p := g.pending[idx]
+		if !flush && p.SymbolStart(g.fcfg, phy.HeaderSymbolCount)+g.horizon > written {
+			break
 		}
 		g.pending = append(g.pending[:idx], g.pending[idx+1:]...)
-		others := make([]*rx.Packet, 0, len(g.active)-1)
-		for _, q := range g.active {
-			if q != next {
-				others = append(others, q)
-			}
-		}
-		g.dispatch(src, next, others)
-
-		// Retire tracked packets whose samples have left the ring: they can
-		// no longer interfere with anything still decodable.
-		base := g.base.Load()
-		keep := g.active[:0]
-		for _, q := range g.active {
-			if q.End(g.fcfg) > base {
-				keep = append(keep, q)
-			}
-		}
-		g.active = keep
+		g.queued = append(g.queued, g.decodeHeader(src, p))
 	}
+
+	// Payload stage, in sequence order: a packet waits for its real end
+	// (now known from its header); a header-failed one has nothing to wait
+	// for.
+	for len(g.queued) > 0 {
+		job := g.queued[0]
+		if !flush && !job.ready && job.pkt.End(g.fcfg)+g.horizon > written {
+			break
+		}
+		n := copy(g.queued, g.queued[1:])
+		g.queued[n] = decodeJob{}
+		g.queued = g.queued[:n]
+		g.dispatch(job)
+	}
+
+	// Retire tracked packets whose samples have left the ring: they can no
+	// longer interfere with anything still decodable.
+	base := g.base.Load()
+	keep := g.active[:0]
+	for _, q := range g.active {
+		if q.End(g.fcfg) > base {
+			keep = append(keep, q)
+		}
+	}
+	g.active = keep
 }
 
-// dispatch decodes one packet's header on the ingest goroutine (fixing its
-// length, which later packets' boundary bookkeeping reads), snapshots its
-// samples out of the ring, and queues the payload for a pool worker. The
-// send blocks when the pool is saturated (bounded backpressure).
-func (g *Gateway) dispatch(src rx.SampleSource, p *rx.Packet, others []*rx.Packet) {
-	fc := g.fcfg
+// decodeHeader runs the header stage for one packet on the ingest
+// goroutine: it assigns the sequence number, decodes the header block and
+// fixes the packet's length, which later packets' boundary bookkeeping
+// reads. The returned job waits in g.queued for the payload stage.
+func (g *Gateway) decodeHeader(src rx.SampleSource, p *rx.Packet) decodeJob {
 	t0 := g.m.DispatchTime.Start()
-	g.m.CollisionSize.Observe(float64(len(others)))
-	job := decodeJob{seq: g.seq, id: p.ID, result: Packet{Start: p.Start, SNR: p.SNRdB, CFO: p.CFOHz}}
+	job := decodeJob{seq: g.seq, id: p.ID, pkt: p, result: Packet{Start: p.Start, SNR: p.SNRdB, CFO: p.CFOHz}}
 	g.seq++
 	if g.detectedAt != nil {
 		job.detectedAt = g.detectedAt[p.ID]
 		delete(g.detectedAt, p.ID)
 	}
+	others := g.hdrOthers[:0]
+	for _, q := range g.active {
+		if q != p {
+			others = append(others, q)
+		}
+	}
+	g.hdrOthers = others
 	syms := make([]uint16, 0, p.NSymbols)
 	for s := 0; s < phy.HeaderSymbolCount; s++ {
 		syms = append(syms, g.hdrDM.DemodulateSymbol(src, p, s, others))
 	}
 	job.gates = g.hdrDM.TakeGateTally()
-	hdr, ok := rx.HeaderFromSymbols(syms, fc.PHY)
-	if !ok {
+	if hdr, ok := rx.HeaderFromSymbols(syms, g.fcfg.PHY); ok {
+		pcfg := g.fcfg.PHY
+		pcfg.CR = hdr.CR
+		pcfg.HasCRC = hdr.HasCRC
+		p.NSymbols = phy.SymbolCount(pcfg, int(hdr.Length))
+		g.m.HeadersDecoded.Inc()
+		job.syms = syms
+	} else {
 		g.m.HeaderFailures.Inc()
-		g.traceHeader(p, job.seq, false)
 		job.ready = true
-		g.m.DispatchTime.Since(t0)
-		g.jobs <- job
-		g.m.QueueDepth.Set(int64(len(g.jobs)))
-		return
 	}
-	pcfg := fc.PHY
-	pcfg.CR = hdr.CR
-	pcfg.HasCRC = hdr.HasCRC
-	p.NSymbols = phy.SymbolCount(pcfg, int(hdr.Length))
-	g.m.HeadersDecoded.Inc()
-	g.traceHeader(p, job.seq, true)
+	job.dispatchDur = obs.Since(t0)
+	return job
+}
 
-	// Snapshot: a private clone of the packet and interferer geometry plus
-	// a bulk copy of the packet's samples, so the worker reads without
-	// touching the ring or the ingest lock.
-	pc := *p
-	job.pkt = &pc
-	job.others = make([]*rx.Packet, len(others))
-	for i, q := range others {
-		qc := *q
-		job.others[i] = &qc
+// dispatch runs the payload stage for one header-decoded job: it
+// snapshots the packet's samples and interferer geometry out of the ring
+// and queues the payload for a pool worker (a header-failed job is
+// forwarded as is). The send blocks when the pool is saturated (bounded
+// backpressure).
+func (g *Gateway) dispatch(job decodeJob) {
+	t0 := g.m.DispatchTime.Start()
+	p := job.pkt
+	g.m.CollisionSize.Observe(float64(len(g.active) - 1))
+	g.traceHeader(p, job.seq, !job.ready)
+	job.pkt = nil
+	if !job.ready {
+		// Private clones of the packet and interferer geometry plus a bulk
+		// copy of the packet's samples, so the worker reads without
+		// touching the ring or the ingest lock. An interferer that started
+		// after this packet keeps the max length, as if packets were
+		// decoded whole, one at a time, in start order.
+		maxSyms := phy.MaxSymbolCount(g.fcfg.PHY)
+		geo := make([]rx.Packet, 0, len(g.active))
+		geo = append(geo, *p)
+		job.others = make([]*rx.Packet, 0, len(g.active)-1)
+		for _, q := range g.active {
+			if q == p {
+				continue
+			}
+			geo = append(geo, *q)
+			qc := &geo[len(geo)-1]
+			if qc.Start > p.Start {
+				qc.NSymbols = maxSyms
+			}
+			job.others = append(job.others, qc)
+		}
+		job.pkt = &geo[0]
+		need := p.End(g.fcfg) - p.Start
+		bufp := g.snapPool.Get().(*[]complex128)
+		if int64(cap(*bufp)) < need {
+			*bufp = make([]complex128, need)
+		}
+		job.snap = (*bufp)[:need]
+		g.readRing(job.snap, p.Start)
+		job.snapBuf = bufp
+		job.snapStart = p.Start
 	}
-	job.syms = syms
-	need := p.End(fc) - p.Start
-	bufp := g.snapPool.Get().(*[]complex128)
-	if int64(cap(*bufp)) < need {
-		s := make([]complex128, need)
-		bufp = &s
-	}
-	snap := (*bufp)[:need]
-	g.readRing(snap, p.Start)
-	job.snap = snap
-	job.snapBuf = bufp
-	job.snapStart = p.Start
-	g.m.DispatchTime.Since(t0)
+	g.m.DispatchTime.ObserveDuration(job.dispatchDur + obs.Since(t0))
 	g.jobs <- job
 	g.m.QueueDepth.Set(int64(len(g.jobs)))
 }

@@ -6,7 +6,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all vet lint lint-fast build test race bench bench-gateway bench-json bench-matrix bench-gate fuzz chaos smoke experiments-smoke results ci
+.PHONY: all vet lint lint-fast build test race perfbench-test bench bench-gateway bench-json bench-matrix bench-gate fuzz chaos smoke experiments-smoke results ci
 
 all: ci
 
@@ -57,6 +57,11 @@ test:
 race:
 	$(GO) test -race ./...
 
+# perfbench is its own module (perfbench/go.mod), so ./... above skips
+# its unit tests; run them from inside the module.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
+
 # Short benchmark sweep: the streaming gateway pipeline plus the kernel
 # micro-benchmarks. One iteration each — a smoke test that the benches
 # run, not a measurement (use bench-gateway for numbers).
@@ -80,10 +85,10 @@ bench-json:
 # (bench-json) plus the DSP kernel record. Run on the machine whose
 # numbers you intend to commit; the records embed the host environment.
 bench-matrix: bench-json
-	$(GO) test -run '^$$' -bench 'FFT4096|ForwardWindowed1024|ForwardReal1024|DFTBin1024' -benchtime=1000x ./internal/dsp/ | \
+	$(GO) test -run '^$$' -bench 'FFT4096|ForwardWindowed1024|ForwardReal1024|DFTBin1024|DFTBinPair1024' -benchtime=1000x ./internal/dsp/ | \
 		$(GO) run ./cmd/cic-bench -out BENCH_dsp.json \
 		-benchmark "DSP kernels" \
-		-description "FFT kernel micro-benchmarks: radix-4 forward transform, fused windowed transform, packed real-input transform, Goertzel fractional-bin DTFT (make bench-matrix)."
+		-description "FFT kernel micro-benchmarks: radix-4 forward transform, fused windowed transform, packed real-input transform, Goertzel fractional-bin DTFT and its two-image pair probe (make bench-matrix)."
 
 # Regression gate against the committed records: allocs/op must stay
 # within max(+10%, +5) of BENCH_gateway.json / BENCH_dsp.json. Alloc
@@ -137,4 +142,4 @@ results:
 		$(GO) run ./cmd/cic-experiments -config experiments/$$c.json -outdir results -quiet || exit 1; \
 	done
 
-ci: vet lint build race bench bench-gate fuzz chaos smoke experiments-smoke
+ci: vet lint build race perfbench-test bench bench-gate fuzz chaos smoke experiments-smoke

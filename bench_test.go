@@ -141,6 +141,25 @@ func BenchmarkCICSymbol3Interferers(b *testing.B) {
 	}
 }
 
+// BenchmarkCICSymbolAlternates is BenchmarkCICSymbol3Interferers through
+// the payload path: the pick plus the ranked alternates the chase pass
+// consumes.
+func BenchmarkCICSymbolAlternates(b *testing.B) {
+	src, pkts, cfg := benchCollisionSource(b, 4)
+	dm, err := core.NewDemodulator(cfg, core.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	pkt := pkts[0]
+	pkt.NSymbols = 40
+	others := pkts[1:]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dm.PickSymbolAlternates(src, pkt, 20, others)
+	}
+}
+
 func BenchmarkPreambleScanDownchirp(b *testing.B) {
 	src, _, cfg := benchCollisionSource(b, 3)
 	det, err := rx.NewDetector(cfg, rx.DetectorOptions{})

@@ -460,9 +460,11 @@ func (g *Gateway) decodeHeader(src rx.SampleSource, p *rx.Packet) decodeJob {
 		job.detectedAt = g.detectedAt[p.ID]
 		delete(g.detectedAt, p.ID)
 	}
+	// Only interferers overlapping p's (still max-length) span can reach
+	// its header windows.
 	others := g.hdrOthers[:0]
 	for _, q := range g.active {
-		if q != p {
+		if q != p && overlaps(g.fcfg, p, q) {
 			others = append(others, q)
 		}
 	}
@@ -495,30 +497,42 @@ func (g *Gateway) decodeHeader(src rx.SampleSource, p *rx.Packet) decodeJob {
 func (g *Gateway) dispatch(job decodeJob) {
 	t0 := g.m.DispatchTime.Start()
 	p := job.pkt
-	g.m.CollisionSize.Observe(float64(len(g.active) - 1))
 	g.traceHeader(p, job.seq, !job.ready)
 	job.pkt = nil
+	// The interferers are the tracked packets overlapping p's span. One
+	// that started after p keeps the max length, as if packets were
+	// decoded whole, one at a time, in start order. A packet outside the
+	// span adds no boundary, tone or signature to any of p's windows.
+	maxSyms := phy.MaxSymbolCount(g.fcfg.PHY)
+	var geo []rx.Packet
 	if !job.ready {
 		// Private clones of the packet and interferer geometry plus a bulk
 		// copy of the packet's samples, so the worker reads without
-		// touching the ring or the ingest lock. An interferer that started
-		// after this packet keeps the max length, as if packets were
-		// decoded whole, one at a time, in start order.
-		maxSyms := phy.MaxSymbolCount(g.fcfg.PHY)
-		geo := make([]rx.Packet, 0, len(g.active))
+		// touching the ring or the ingest lock.
+		geo = make([]rx.Packet, 0, len(g.active))
 		geo = append(geo, *p)
 		job.others = make([]*rx.Packet, 0, len(g.active)-1)
-		for _, q := range g.active {
-			if q == p {
-				continue
-			}
-			geo = append(geo, *q)
-			qc := &geo[len(geo)-1]
-			if qc.Start > p.Start {
-				qc.NSymbols = maxSyms
-			}
-			job.others = append(job.others, qc)
+	}
+	collisions := 0
+	for _, q := range g.active {
+		if q == p {
+			continue
 		}
+		qc := *q
+		if qc.Start > p.Start {
+			qc.NSymbols = maxSyms
+		}
+		if !overlaps(g.fcfg, p, &qc) {
+			continue
+		}
+		collisions++
+		if !job.ready {
+			geo = append(geo, qc)
+			job.others = append(job.others, &geo[len(geo)-1])
+		}
+	}
+	g.m.CollisionSize.Observe(float64(collisions))
+	if !job.ready {
 		job.pkt = &geo[0]
 		need := p.End(g.fcfg) - p.Start
 		bufp := g.snapPool.Get().(*[]complex128)
@@ -749,6 +763,11 @@ func (g *Gateway) emit(r seqPacket) {
 			Gates:  &gates,
 		})
 	}
+}
+
+// overlaps reports whether q's span [Start, End) intersects p's.
+func overlaps(cfg frame.Config, p, q *rx.Packet) bool {
+	return q.Start < p.End(cfg) && q.End(cfg) > p.Start
 }
 
 // known reports whether a detection duplicates a tracked packet.

@@ -37,7 +37,6 @@ type Demodulator struct {
 	cfoBuf   []Candidate
 	powBuf   []Candidate
 	gateBuf  []Candidate
-	rankBuf  []Candidate
 	tonesBuf []float64
 	sigsBuf  []float64
 	altBuf   []uint16
@@ -78,7 +77,6 @@ func NewDemodulator(cfg frame.Config, opts Options) (*Demodulator, error) {
 		cfoBuf:   make([]Candidate, 0, mc),
 		powBuf:   make([]Candidate, 0, mc),
 		gateBuf:  make([]Candidate, 0, mc),
-		rankBuf:  make([]Candidate, 0, mc),
 		tonesBuf: make([]float64, 0, 16),
 		sigsBuf:  make([]float64, 0, 16),
 		altBuf:   make([]uint16, 0, 8),
@@ -200,6 +198,7 @@ type Candidate struct {
 	FullAmp  float64 // peak amplitude on the full-symbol spectrum
 	FracBins float64 // distance of Pos from its nearest integer bin
 	SED      float64 // spectral edge difference (set when SED runs)
+	Score    float64 // composite SED/CFO/power score, lower is better (set when SED runs)
 }
 
 // Value returns the symbol value this candidate decodes to: the nearest
@@ -220,37 +219,29 @@ func (dm *Demodulator) PickSymbol(src rx.SampleSource, pkt *rx.Packet, symIdx in
 // PickSymbolAlternates implements rx.AlternatePicker: it returns the
 // surviving candidates' symbol values best-first, so the pipeline's
 // CRC-driven chase pass can retry the runner-up on marginal symbols.
+// The first value is the one DemodulateSymbol picks (including the
+// edge-window bin vote); the rest follow in the score order the pick
+// itself used, from the same single gate/SED pass.
 // The returned slice is demodulator scratch, valid only until the next
 // PickSymbolAlternates call (per the rx.AlternatePicker contract);
 // callers that accumulate alternates across symbols copy the values out.
 //
 //cic:hotpath
 func (dm *Demodulator) PickSymbolAlternates(src rx.SampleSource, pkt *rx.Packet, symIdx int, others []*rx.Packet) []uint16 {
-	dm.opts.Metrics.SymbolsDemodulated.Inc()
-	winStart := pkt.SymbolStart(dm.cfg, symIdx)
-	dm.refAmp = pkt.PeakAmp
-	dm.d.LoadWindow(src, winStart, pkt.CFOHz)
-	bounds := dm.CollectBoundaries(winStart, others)
-	spec := dm.intersectICSS(bounds)
-	cands := dm.candidates(spec)
-	cands = dm.excludeKnownTones(cands, pkt, winStart, others)
-	cands = dm.excludeInterfererSignatures(cands, pkt, winStart, others)
-	// The primary value must match DemodulateSymbol exactly (including the
-	// edge-window bin vote); the remaining candidates follow in rank order.
-	primary := uint16(dm.refineBinVote(dm.selectCandidate(cands, pkt), bounds))
-	ranked := dm.rankCandidates(cands, pkt)
+	cands, bounds := dm.symbolCandidates(src, pkt, symIdx, others)
+	best, ranked := dm.pick(cands, pkt)
+	out := append(dm.altBuf[:0], uint16(dm.refineBinVote(best, bounds)))
+	// Every survivor's score (or, without SED, its power) is already
+	// known: sort on it, never rescore.
+	if dm.opts.DisableSED {
+		slices.SortFunc(ranked, func(a, b Candidate) int { return cmp.Compare(b.Power, a.Power) })
+	} else {
+		slices.SortFunc(ranked, func(a, b Candidate) int { return cmp.Compare(a.Score, b.Score) })
+	}
 	n := dm.cfg.Chirp.ChipCount()
-	out := append(dm.altBuf[:0], primary)
 	for _, c := range ranked {
 		v := uint16(c.Value(n))
-		dup := false
-		for _, prev := range out {
-			if prev == v {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+		if !slices.Contains(out, v) {
 			out = append(out, v)
 		}
 	}
@@ -263,28 +254,36 @@ func (dm *Demodulator) PickSymbolAlternates(src rx.SampleSource, pkt *rx.Packet,
 //
 //cic:hotpath
 func (dm *Demodulator) DemodulateSymbol(src rx.SampleSource, pkt *rx.Packet, symIdx int, others []*rx.Packet) uint16 {
+	cands, bounds := dm.symbolCandidates(src, pkt, symIdx, others)
+	best, _ := dm.pick(cands, pkt)
+	return uint16(dm.refineBinVote(best, bounds))
+}
+
+// symbolCandidates loads data symbol symIdx of pkt and runs the stages up
+// to the candidate set: ICSS intersection over the interferers'
+// boundaries, candidate extraction and the tracker-informed exclusions.
+// It returns the candidates and the boundaries the bin vote needs.
+//
+//cic:hotpath
+func (dm *Demodulator) symbolCandidates(src rx.SampleSource, pkt *rx.Packet, symIdx int, others []*rx.Packet) ([]Candidate, []int) {
 	dm.opts.Metrics.SymbolsDemodulated.Inc()
 	winStart := pkt.SymbolStart(dm.cfg, symIdx)
 	dm.refAmp = pkt.PeakAmp
 	dm.d.LoadWindow(src, winStart, pkt.CFOHz)
 	bounds := dm.CollectBoundaries(winStart, others)
-	spec := dm.intersectICSS(bounds)
-	cands := dm.candidates(spec)
+	cands := dm.candidates(dm.intersectICSS(bounds))
 	cands = dm.excludeKnownTones(cands, pkt, winStart, others)
-	cands = dm.excludeInterfererSignatures(cands, pkt, winStart, others)
-	best := dm.selectCandidate(cands, pkt)
-	// A partially-cancelled interferer adjacent to the true tone biases any
-	// single position estimate by up to a bin. Each interfering symbol is
-	// absent from one edge sub-window, so a vote among the full-window
-	// estimate and the two edge estimates recovers the true bin whenever at
-	// least two estimates are uncontaminated.
-	return uint16(dm.refineBinVote(best, bounds))
+	return dm.excludeInterfererSignatures(cands, pkt, winStart, others), bounds
 }
 
 // refineBinVote refines the winning candidate's integer bin by majority
 // vote over three DTFT position estimates: the full window and the two
 // boundary-delimited edge sub-windows (which exclude C_next and C_prev
-// interference respectively).
+// interference respectively). A partially-cancelled interferer adjacent to
+// the true tone biases any single position estimate by up to a bin. Each
+// interfering symbol is absent from one edge sub-window, so the vote
+// recovers the true bin whenever at least two estimates are
+// uncontaminated.
 //
 //cic:hotpath
 func (dm *Demodulator) refineBinVote(best Candidate, bounds []int) int {
@@ -303,8 +302,7 @@ func (dm *Demodulator) refineBinVote(best Candidate, bounds []int) int {
 		if w.to-w.from < minSpan {
 			continue
 		}
-		pos, _ := refineWindowed(dech[w.from:w.to], m, best.Pos, dm.cfg.Chirp.OSR, n)
-		edges[nEdges] = pos
+		edges[nEdges] = refineWindowed(dech[w.from:w.to], m, best.Pos, dm.cfg.Chirp.OSR, n)
 		nEdges++
 	}
 	// Majority over {v, edges…}: with at most three voters the only way a
@@ -325,25 +323,19 @@ func (dm *Demodulator) refineBinVote(best Candidate, bounds []int) int {
 // both OSR images via the two-stage strided search.
 //
 //cic:hotpath
-func refineWindowed(sub []complex128, m int, approxPos float64, osr, n int) (int, float64) {
-	best := math.Inf(-1)
-	bestBin := int(math.Round(approxPos))
-	for img := 0; img < 2; img++ {
-		base := approxPos
-		if img == 1 {
-			base += float64((osr - 1) * n)
-		}
-		pos, p := dsp.SearchFineGrid(sub, m, base, 12, 1.0/8)
-		if p > best {
-			best = p
-			bb := int(math.Round(pos)) % n
-			if bb < 0 {
-				bb += n
+func refineWindowed(sub []complex128, m int, approxPos float64, osr, n int) int {
+	loPos, loPow, hiPos, hiPow := dsp.SearchFineGridPair(sub, m, approxPos, (osr-1)*n, 12, 1.0/8)
+	best, bestBin := math.Inf(-1), int(math.Round(approxPos))
+	for _, img := range [2][2]float64{{loPos, loPow}, {hiPos, hiPow}} {
+		if img[1] > best {
+			best = img[1]
+			bestBin = int(math.Round(img[0])) % n
+			if bestBin < 0 {
+				bestBin += n
 			}
-			bestBin = bb
 		}
 	}
-	return bestBin, best
+	return bestBin
 }
 
 // KnownPreambleTone predicts the folded bin (fractional) at which
@@ -565,6 +557,9 @@ func (dm *Demodulator) candidates(spec dsp.Spectrum) []Candidate {
 	m := dm.cfg.Chirp.SamplesPerSymbol()
 	n := dm.cfg.Chirp.ChipCount()
 	osr := dm.cfg.Chirp.OSR
+	dech := dm.d.Dechirped()
+	zoom := max(dm.opts.CFOZoom, 1)
+	steps := int(1.2 * float64(zoom))
 	for _, p := range peaks {
 		c := Candidate{Bin: p.Bin, Power: p.Power}
 		// Refine the position on both M-grid images of this folded bin over
@@ -574,10 +569,7 @@ func (dm *Demodulator) candidates(spec dsp.Spectrum) []Candidate {
 		// *after* refinement matters: at an off-by-one bin the weak image's
 		// wider lobe out-powers the strong image's narrow one, and refining
 		// on the weak image would re-centre on blur instead of the tone.
-		hiImage := p.Bin + (osr-1)*n
-		dech := dm.d.Dechirped()
-		loPos, loPow := dsp.RefinePeakRange(dech, m, p.Bin, dm.opts.CFOZoom, 1.2)
-		hiPos, hiPow := dsp.RefinePeakRange(dech, m, hiImage, dm.opts.CFOZoom, 1.2)
+		loPos, loPow, hiPos, hiPow := dsp.SearchFineGridPair(dech, m, float64(p.Bin), (osr-1)*n, steps, 1/float64(zoom))
 		pos, pow, weak := loPos, loPow, hiPow
 		if hiPow > loPow {
 			pos, pow, weak = hiPos, hiPow, loPow
@@ -617,22 +609,50 @@ func (dm *Demodulator) candidates(spec dsp.Spectrum) []Candidate {
 	return dedup
 }
 
-// selectCandidate applies the §5.6–§5.7 pipeline: CFO filter, power filter,
-// then SED; falling back to the strongest intersected peak when a stage
-// eliminates everything.
+// pick applies the §5.6–§5.7 pipeline once per symbol: CFO filter, power
+// filter, then SED; falling back to the strongest intersected peak when a
+// stage eliminates everything. It returns the winner and the survivor set
+// it was chosen from — scored when SED ran — so the ranked alternates
+// reuse this pass instead of repeating it. The survivor set is
+// demodulator scratch, valid until the next call.
 //
 //cic:hotpath
-func (dm *Demodulator) selectCandidate(cands []Candidate, pkt *rx.Packet) Candidate {
+func (dm *Demodulator) pick(cands []Candidate, pkt *rx.Packet) (Candidate, []Candidate) {
 	if len(cands) == 0 {
-		return Candidate{}
+		return Candidate{}, cands
 	}
 	if len(cands) == 1 {
-		return cands[0]
+		return cands[0], cands
 	}
-	// Gate policy: prefer candidates passing both filters; when the gates
-	// conflict, trust the power gate first (Fig 36: received power is the
-	// stronger discriminator), then the CFO gate, then give up filtering.
-	filtered := cands
+	filtered := dm.gate(cands, pkt)
+	if len(filtered) == 1 {
+		return filtered[0], filtered
+	}
+	if !dm.opts.DisableSED {
+		best := dm.selectBySED(filtered)
+		dm.countGate(&dm.tally.SEDAccept, &dm.tally.SEDReject,
+			dm.opts.Metrics.SEDAccept, dm.opts.Metrics.SEDReject,
+			1, len(filtered))
+		return best, filtered
+	}
+	// No SED: strongest surviving intersected peak.
+	best := filtered[0]
+	for _, c := range filtered[1:] {
+		if c.Power > best.Power {
+			best = c
+		}
+	}
+	return best, filtered
+}
+
+// gate runs the §5.7 CFO and power filters over cands, counting their
+// verdicts, and returns the survivors. Gate policy: prefer candidates
+// passing both filters; when the gates conflict, trust the power gate
+// first (Fig 36: received power is the stronger discriminator), then the
+// CFO gate, then give up filtering.
+//
+//cic:hotpath
+func (dm *Demodulator) gate(cands []Candidate, pkt *rx.Packet) []Candidate {
 	cfoSet := cands
 	if !dm.opts.DisableCFOFilter {
 		cfoSet = dm.filterCFO(cands)
@@ -649,30 +669,13 @@ func (dm *Demodulator) selectCandidate(cands []Candidate, pkt *rx.Packet) Candid
 	}
 	switch both := dm.intersectCands(cfoSet, powSet); {
 	case len(both) > 0:
-		filtered = both
+		return both
 	case !dm.opts.DisablePowerFilter && len(powSet) > 0:
-		filtered = powSet
+		return powSet
 	case !dm.opts.DisableCFOFilter && len(cfoSet) > 0:
-		filtered = cfoSet
+		return cfoSet
 	}
-	if len(filtered) == 1 {
-		return filtered[0]
-	}
-	if !dm.opts.DisableSED {
-		best := dm.selectBySED(filtered)
-		dm.countGate(&dm.tally.SEDAccept, &dm.tally.SEDReject,
-			dm.opts.Metrics.SEDAccept, dm.opts.Metrics.SEDReject,
-			1, len(filtered))
-		return best
-	}
-	// No SED: strongest surviving intersected peak.
-	best := filtered[0]
-	for _, c := range filtered[1:] {
-		if c.Power > best.Power {
-			best = c
-		}
-	}
-	return best
+	return cands
 }
 
 // countGate records one gate's verdict over a candidate set: accepted of
@@ -683,48 +686,6 @@ func (dm *Demodulator) countGate(tallyAcc, tallyRej *int64, acc, rej *obs.Counte
 	*tallyRej += int64(total - accepted)
 	acc.Add(int64(accepted))
 	rej.Add(int64(total - accepted))
-}
-
-// rankCandidates returns the gate-surviving candidates ordered by the same
-// criterion selectCandidate uses to pick the winner (composite score with
-// SED, or intersected power without it).
-//
-//cic:hotpath
-func (dm *Demodulator) rankCandidates(cands []Candidate, pkt *rx.Packet) []Candidate {
-	if len(cands) <= 1 {
-		return cands
-	}
-	filtered := cands
-	cfoSet := cands
-	if !dm.opts.DisableCFOFilter {
-		cfoSet = dm.filterCFO(cands)
-	}
-	powSet := cands
-	if !dm.opts.DisablePowerFilter {
-		powSet = dm.filterPower(cands, pkt)
-	}
-	switch both := dm.intersectCands(cfoSet, powSet); {
-	case len(both) > 0:
-		filtered = both
-	case !dm.opts.DisablePowerFilter && len(powSet) > 0:
-		filtered = powSet
-	case !dm.opts.DisableCFOFilter && len(cfoSet) > 0:
-		filtered = cfoSet
-	}
-	out := append(dm.rankBuf[:0], filtered...)
-	dm.rankBuf = out
-	if !dm.opts.DisableSED {
-		// selectBySED fills the SED fields; reuse its scoring.
-		dm.selectBySED(out)
-		slices.SortFunc(out, func(a, b Candidate) int {
-			return cmp.Compare(dm.candidateScore(a), dm.candidateScore(b))
-		})
-	} else {
-		slices.SortFunc(out, func(a, b Candidate) int {
-			return cmp.Compare(b.Power, a.Power)
-		})
-	}
-	return out
 }
 
 // intersectCands returns candidates present (by Bin) in both sets, in the
@@ -786,11 +747,11 @@ func (dm *Demodulator) filterPower(cands []Candidate, pkt *rx.Packet) []Candidat
 	return out
 }
 
-// selectBySED computes the Spectral Edge Difference for each candidate and
-// returns the bin with the smallest difference (§5.6): the true symbol's
-// frequency is present uniformly across the symbol, so its edge spectra
-// carry equal energy, while an interferer's C_prev/C_next is stronger at
-// one edge.
+// selectBySED computes the Spectral Edge Difference and the composite
+// score of each candidate (setting SED and Score) and returns the one with
+// the lowest score (§5.6): the true symbol's frequency is present
+// uniformly across the symbol, so its edge spectra carry equal energy,
+// while an interferer's C_prev/C_next is stronger at one edge.
 //
 //cic:hotpath
 func (dm *Demodulator) selectBySED(cands []Candidate) Candidate {
@@ -826,8 +787,9 @@ func (dm *Demodulator) selectBySED(cands []Candidate) Candidate {
 			}
 		}
 		cands[i].SED = sed
-		if score := dm.candidateScore(cands[i]); score < bestScore {
-			bestScore = score
+		cands[i].Score = dm.candidateScore(cands[i])
+		if cands[i].Score < bestScore {
+			bestScore = cands[i].Score
 			best = cands[i]
 		}
 	}
@@ -857,18 +819,4 @@ func (dm *Demodulator) candidateScore(c Candidate) float64 {
 		score += 0.5 * dev / dm.opts.PowerToleranceDB
 	}
 	return score
-}
-
-// CandidatesForTest exposes the candidate pipeline for diagnostics and
-// white-box tests: it reloads the window and returns the candidate set
-// after known-tone and signature exclusion.
-func (dm *Demodulator) CandidatesForTest(src rx.SampleSource, pkt *rx.Packet, symIdx int, others []*rx.Packet) []Candidate {
-	winStart := pkt.SymbolStart(dm.cfg, symIdx)
-	dm.refAmp = pkt.PeakAmp
-	dm.d.LoadWindow(src, winStart, pkt.CFOHz)
-	bounds := dm.CollectBoundaries(winStart, others)
-	spec := dm.intersectICSS(bounds)
-	cands := dm.candidates(spec)
-	cands = dm.excludeKnownTones(cands, pkt, winStart, others)
-	return dm.excludeInterfererSignatures(cands, pkt, winStart, others)
 }

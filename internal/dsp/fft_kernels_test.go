@@ -165,6 +165,106 @@ func TestDFTBinFractionalMatchesNaiveDTFT(t *testing.T) {
 	}
 }
 
+// TestDFTBinPairMatchesDFTBin: where the two images share their phase
+// sums (OSR 4 and OSR 2 offsets), the low value is bit-identical to
+// DFTBin and the high one agrees with DFTBin(bin+off) to 1e-12 relative
+// to the signal's magnitude sum;
+// elsewhere (OSR 8, lengths the polyphase path cannot stride over) the
+// fallback returns exactly the two DFTBin values.
+func TestDFTBinPairMatchesDFTBin(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	const n = 1024
+	for _, c := range []struct {
+		name   string
+		n, off int
+		length int
+		shared bool
+	}{
+		{"osr4", n, 3 * n / 4, n, true},
+		{"osr4-subwindow", n, 3 * n / 4, 600, true},
+		{"osr2", n, n / 2, n, true},
+		{"osr4-odd-length", n, 3 * n / 4, 601, false},
+		{"osr8", 2 * n, 7 * n / 4, 2 * n, false},
+	} {
+		x := randSignal(r, c.length)
+		// Relative to the largest value a probe can take (Σ|x[t]|, which
+		// a tone on the probed bin reaches): the rounding of 4θ perturbs
+		// every term of the sum, so its error scales with Σ|x|, not with
+		// the probe's own magnitude, which is near 0 between lobes.
+		scale := 0.0
+		for _, v := range x {
+			scale += cmplx.Abs(v)
+		}
+		for trial := 0; trial < 64; trial++ {
+			bin := float64(c.n) * (2*r.Float64() - 0.5)
+			lo, hi := DFTBinPair(x, c.n, bin, c.off)
+			wantLo, wantHi := DFTBin(x, c.n, bin), DFTBin(x, c.n, bin+float64(c.off))
+			if lo != wantLo {
+				t.Fatalf("%s bin=%g: low %v, DFTBin %v", c.name, bin, lo, wantLo)
+			}
+			if !c.shared {
+				if hi != wantHi {
+					t.Fatalf("%s bin=%g: fallback high %v, DFTBin %v", c.name, bin, hi, wantHi)
+				}
+				continue
+			}
+			if d := cmplx.Abs(hi - wantHi); d > 1e-12*scale {
+				t.Errorf("%s bin=%g: high %v, DFTBin %v (err %g of scale)", c.name, bin, hi, wantHi, d/scale)
+			}
+		}
+	}
+}
+
+// twoImageTone is a de-chirped symbol of fractional value f at OSR 4: the
+// pre-wrap segment is a tone at FFT bin f, the post-wrap segment its image
+// at f+off, with a little noise so lobes are not exactly symmetric.
+func twoImageTone(r *rand.Rand, n, off int, f float64, wrap int) []complex128 {
+	x := make([]complex128, n)
+	for t := range x {
+		bin := f
+		if t >= wrap {
+			bin += float64(off)
+		}
+		x[t] = cmplx.Exp(complex(0, 2*math.Pi*bin*float64(t)/float64(n))) +
+			complex(0.05*r.NormFloat64(), 0.05*r.NormFloat64())
+	}
+	return x
+}
+
+// TestSearchFineGridPairMatchesTwoSearches sweeps a tone across a grid of
+// fractional positions and wrap points and checks that the pair search
+// lands on the same grid positions as two SearchFineGrid calls, at the
+// decoder's candidate (±1.2 bins at 1/16) and edge-vote (±1.5 bins at
+// 1/8) settings, a short grid that takes the single-stage path, on full
+// windows and on sub-windows.
+func TestSearchFineGridPairMatchesTwoSearches(t *testing.T) {
+	r := rand.New(rand.NewSource(18))
+	const n, off = 1024, 768
+	grids := []struct {
+		steps int
+		step  float64
+	}{{19, 1.0 / 16}, {12, 1.0 / 8}, {6, 1.0 / 4}}
+	for f := 40.0; f < 44; f += 0.07 {
+		wrap := r.Intn(n)
+		x := twoImageTone(r, n, off, f, wrap)
+		for _, win := range [][2]int{{0, n}, {0, 700}, {324, n}} {
+			sub := x[win[0]:win[1]]
+			for _, g := range grids {
+				base := math.Round(f) + 0.5*r.Float64() - 0.25
+				loPos, loPow, hiPos, hiPow := SearchFineGridPair(sub, n, base, off, g.steps, g.step)
+				wantLoPos, wantLoPow := SearchFineGrid(sub, n, base, g.steps, g.step)
+				wantHiPos, wantHiPow := SearchFineGrid(sub, n, base+off, g.steps, g.step)
+				if loPos != wantLoPos || loPow != wantLoPow {
+					t.Fatalf("f=%g win=%v steps=%d: low (%g, %g), SearchFineGrid (%g, %g)", f, win, g.steps, loPos, loPow, wantLoPos, wantLoPow)
+				}
+				if hiPos != wantHiPos || math.Abs(hiPow-wantHiPow) > 1e-12*wantHiPow {
+					t.Fatalf("f=%g win=%v steps=%d: high (%g, %g), SearchFineGrid (%g, %g)", f, win, g.steps, hiPos, hiPow, wantHiPos, wantHiPow)
+				}
+			}
+		}
+	}
+}
+
 // TestKernelsAllocFree pins the warm-path allocation budget of every FFT
 // kernel entry point at zero: after the plans are cached, no transform
 // call may allocate.
@@ -190,6 +290,7 @@ func TestKernelsAllocFree(t *testing.T) {
 		{"ForwardReal", func() { f.ForwardReal(dst, re) }},
 		{"Inverse", func() { f.Inverse(buf) }},
 		{"DFTBin", func() { _ = DFTBin(buf, n, 41.25) }},
+		{"DFTBinPair", func() { _, _ = DFTBinPair(buf, n, 41.25, 3*n/4) }},
 	}
 	for _, c := range checks {
 		if allocs := testing.AllocsPerRun(100, c.fn); allocs != 0 {
@@ -254,3 +355,17 @@ func BenchmarkDFTBin1024(b *testing.B) {
 		DFTBin(x, 1024, 511.3125)
 	}
 }
+
+// BenchmarkDFTBinPair1024 probes both OSR 4 images of one bin (off = 3n/4)
+// from one polyphase sweep; compare with two BenchmarkDFTBin1024 calls.
+func BenchmarkDFTBinPair1024(b *testing.B) {
+	x := benchSignal(1024)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pairSink, _ = DFTBinPair(x, 1024, 511.3125, 768)
+	}
+}
+
+// pairSink keeps BenchmarkDFTBinPair1024's call from being optimised away.
+var pairSink complex128

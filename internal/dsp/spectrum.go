@@ -174,13 +174,57 @@ func DFTBin(x []complex128, n int, bin float64) complex128 {
 	if m < 8 || m%4 != 0 {
 		return dftBinGoertzel(x, theta)
 	}
-	sin4, cos4 := math.Sincos(4 * theta)
+	s := polyphaseSums(x, 4*theta)
+	return s.combine(theta)
+}
+
+// DFTBinPair returns DFTBin(x, n, bin) and DFTBin(x, n, bin+off) — the two
+// OSR images of one tone — from a single polyphase sweep where possible.
+// The four phase sums depend on θ only through 4θ, and when 4·off ≡ 0
+// (mod n) the two probes' 4θ differ by a multiple of 2π: the sums are
+// shared and only the final twiddle combination differs. That holds at
+// OSR 4 (off = 3n/4) and OSR 2 (off = n/2); other offsets, and lengths
+// the polyphase path cannot stride over, fall back to two DFTBin calls.
+// The low value is bit-identical to DFTBin; the high one is evaluated
+// with the low probe's 4θ, mathematically equal to DFTBin(bin+off) and
+// equal to it up to the last bits.
+//
+//cic:hotpath
+func DFTBinPair(x []complex128, n int, bin float64, off int) (lo, hi complex128) {
+	return dftBinPair(x, n, bin, bin+float64(off), off)
+}
+
+// dftBinPair is DFTBinPair with the high probe's position given by the
+// caller, so a grid search evaluates it exactly as a DFTBin call at that
+// position would (binHi ≈ binLo+off up to rounding).
+//
+//cic:hotpath
+func dftBinPair(x []complex128, n int, binLo, binHi float64, off int) (lo, hi complex128) {
+	m := len(x)
+	if m < 8 || m%4 != 0 || n <= 0 || (4*off)%n != 0 {
+		return DFTBin(x, n, binLo), DFTBin(x, n, binHi)
+	}
+	thLo := -2 * math.Pi * binLo / float64(n)
+	thHi := -2 * math.Pi * binHi / float64(n)
+	s := polyphaseSums(x, 4*thLo)
+	return s.combine(thLo), s.combine(thHi)
+}
+
+// phaseSums holds the four polyphase Goertzel sums S_r of DFTBin.
+type phaseSums [4]complex128
+
+// polyphaseSums runs the four interleaved Goertzel recurrences at angle
+// theta4 = 4θ over x (len(x) a multiple of 4, at least 8).
+//
+//cic:hotpath
+func polyphaseSums(x []complex128, theta4 float64) phaseSums {
+	sin4, cos4 := math.Sincos(theta4)
 	k := 2 * cos4
 	var a1r, a1i, a2r, a2i float64 // phase 0 state: v[u+1], v[u+2]
 	var b1r, b1i, b2r, b2i float64 // phase 1
 	var c1r, c1i, c2r, c2i float64 // phase 2
 	var d1r, d1i, d2r, d2i float64 // phase 3
-	for base := m - 4; base >= 0; base -= 4 {
+	for base := len(x) - 4; base >= 0; base -= 4 {
 		v0, v1, v2, v3 := x[base], x[base+1], x[base+2], x[base+3]
 		ar := real(v0) + k*a1r - a2r
 		ai := imag(v0) + k*a1i - a2i
@@ -195,17 +239,23 @@ func DFTBin(x []complex128, n int, bin float64) complex128 {
 		c2r, c2i, c1r, c1i = c1r, c1i, cr, ci
 		d2r, d2i, d1r, d1i = d1r, d1i, dr, di
 	}
-	// Per phase: S_r = v[0] - conj(e^{i4θ})·v[1], then S = Σ_r e^{iθr}·S_r
-	// (θ already carries the minus sign of the DTFT exponent).
+	// Per phase: S_r = v[0] - conj(e^{i4θ})·v[1].
 	e4 := complex(cos4, -sin4)
-	s0 := complex(a1r, a1i) - e4*complex(a2r, a2i)
-	s1 := complex(b1r, b1i) - e4*complex(b2r, b2i)
-	s2 := complex(c1r, c1i) - e4*complex(c2r, c2i)
-	s3 := complex(d1r, d1i) - e4*complex(d2r, d2i)
+	return phaseSums{
+		complex(a1r, a1i) - e4*complex(a2r, a2i),
+		complex(b1r, b1i) - e4*complex(b2r, b2i),
+		complex(c1r, c1i) - e4*complex(c2r, c2i),
+		complex(d1r, d1i) - e4*complex(d2r, d2i),
+	}
+}
+
+// combine returns S = Σ_r e^{iθr}·S_r (θ already carries the minus sign
+// of the DTFT exponent).
+func (s *phaseSums) combine(theta float64) complex128 {
 	sn, cs := math.Sincos(theta)
 	w := complex(cs, sn) // e^{-iθ}
 	w2 := w * w
-	return s0 + w*s1 + w2*s2 + w2*w*s3
+	return s[0] + w*s[1] + w2*s[2] + w2*w*s[3]
 }
 
 // dftBinGoertzel is the plain single-chain Goertzel evaluation of
@@ -258,47 +308,83 @@ func RefinePeakRange(x []complex128, n, bin, zoom int, spread float64) (float64,
 //
 //cic:hotpath
 func SearchFineGrid(x []complex128, n int, base float64, steps int, step float64) (float64, float64) {
-	probe := func(s int) float64 {
-		v := DFTBin(x, n, base+float64(s)*step)
-		return real(v)*real(v) + imag(v)*imag(v)
+	pos, pow, _, _ := searchGrid(x, n, base, 0, steps, step, false)
+	return pos, pow
+}
+
+// SearchFineGridPair runs SearchFineGrid around base and around base+off —
+// the two OSR images of one tone — in one pass. Each image gets exactly
+// the probe set its own SearchFineGrid call would give it; the grid
+// points both images visit (the whole coarse pass, and wherever the two
+// fine windows overlap) are evaluated by one DFTBinPair sweep. The low
+// image's result is bit-identical to SearchFineGrid(x, n, base, …).
+//
+//cic:hotpath
+func SearchFineGridPair(x []complex128, n int, base float64, off, steps int, step float64) (loPos, loPow, hiPos, hiPow float64) {
+	return searchGrid(x, n, base, off, steps, step, true)
+}
+
+// gridBest tracks one image's best probe: the first grid index reaching
+// the maximum power, in probe order.
+type gridBest struct {
+	s   int
+	pow float64
+}
+
+func (b *gridBest) offer(s int, v complex128) {
+	if p := real(v)*real(v) + imag(v)*imag(v); p > b.pow {
+		b.pow, b.s = p, s
+	}
+}
+
+// searchGrid is the two-stage search of SearchFineGrid over the low image
+// at base and, when pair is set, over the high image at base+off.
+//
+//cic:hotpath
+func searchGrid(x []complex128, n int, base float64, off, steps int, step float64, pair bool) (loPos, loPow, hiPos, hiPow float64) {
+	hiBase := base + float64(off)
+	lo := gridBest{s: -steps, pow: -1}
+	hi := lo
+	probe := func(s int, wantLo, wantHi bool) {
+		bl, bh := base+float64(s)*step, hiBase+float64(s)*step
+		switch {
+		case wantLo && wantHi:
+			vl, vh := dftBinPair(x, n, bl, bh, off)
+			lo.offer(s, vl)
+			hi.offer(s, vh)
+		case wantLo:
+			lo.offer(s, DFTBin(x, n, bl))
+		case wantHi:
+			hi.offer(s, DFTBin(x, n, bh))
+		}
 	}
 	const stride = 4
 	if steps <= 2*stride {
-		bestS, bestPow := -steps, -1.0
 		for s := -steps; s <= steps; s++ {
-			if p := probe(s); p > bestPow {
-				bestPow, bestS = p, s
-			}
+			probe(s, true, pair)
 		}
-		return base + float64(bestS)*step, bestPow
+		return base + float64(lo.s)*step, lo.pow, hiBase + float64(hi.s)*step, hi.pow
 	}
-	bestS, bestPow := -steps, -1.0
 	for s := -steps; s <= steps; s += stride {
-		if p := probe(s); p > bestPow {
-			bestPow, bestS = p, s
-		}
+		probe(s, true, pair)
 	}
-	if bestS+stride > steps { // keep the +steps endpoint in the coarse pass
-		if p := probe(steps); p > bestPow {
-			bestPow, bestS = p, steps
-		}
+	// Keep the +steps endpoint in the coarse pass.
+	probe(steps, lo.s+stride > steps, pair && hi.s+stride > steps)
+	// Fine pass: each image sweeps one coarse stride either side of its
+	// bracket winner (windows fixed before the pass starts).
+	loFrom, loTo := max(lo.s-stride+1, -steps), min(lo.s+stride-1, steps)
+	hiFrom, hiTo := max(hi.s-stride+1, -steps), min(hi.s+stride-1, steps)
+	from, to := loFrom, loTo
+	if pair {
+		from, to = min(from, hiFrom), max(to, hiTo)
 	}
-	lo, hi := bestS-stride+1, bestS+stride-1
-	if lo < -steps {
-		lo = -steps
-	}
-	if hi > steps {
-		hi = steps
-	}
-	for s := lo; s <= hi; s++ {
+	for s := from; s <= to; s++ {
 		if (s+steps)%stride == 0 { // already probed in the coarse pass
 			continue
 		}
-		if p := probe(s); p > bestPow {
-			bestPow, bestS = p, s
-		}
+		probe(s, s >= loFrom && s <= loTo, pair && s >= hiFrom && s <= hiTo)
 	}
-	return base + float64(bestS)*step, bestPow
+	return base + float64(lo.s)*step, lo.pow, hiBase + float64(hi.s)*step, hi.pow
 }
 
 // QuadInterp performs three-point quadratic (parabolic) interpolation of a

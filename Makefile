@@ -62,11 +62,12 @@ race:
 perfbench-test:
 	cd perfbench && $(GO) test ./...
 
-# Short benchmark sweep: the streaming gateway pipeline plus the kernel
-# micro-benchmarks. One iteration each — a smoke test that the benches
-# run, not a measurement (use bench-gateway for numbers).
+# Short benchmark sweep: the streaming gateway pipeline, the kernel
+# micro-benchmarks and the cheap figure benchmarks (each a scaled-down
+# committed config under experiments/). One iteration each — a smoke test
+# that the benches run, not a measurement (use bench-gateway for numbers).
 bench:
-	$(GO) test -run '^$$' -bench 'GatewayStream|FFT1024|FFT4096|ForwardWindowed1024|ForwardReal1024|DFTBin1024|DechirpAndFold|MustPlanParallel|CICSymbol' -benchtime=1x ./ ./internal/dsp/
+	$(GO) test -run '^$$' -bench 'GatewayStream|FFT1024|FFT4096|ForwardWindowed1024|ForwardReal1024|DFTBin1024|DechirpAndFold|MustPlanParallel|CICSymbol|Fig12to14|Fig15|Fig17|Fig19to20|Fig22to26|Fig27|Fig38' -benchtime=1x ./ ./internal/dsp/
 
 # Measured gateway streaming throughput at 1/4/GOMAXPROCS workers;
 # baselines recorded in BENCH_gateway.json.

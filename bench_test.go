@@ -1,14 +1,17 @@
 // Benchmarks: one per paper figure (the paper's evaluation has no numbered
-// tables — every result is a figure) plus kernel micro-benchmarks. The
-// figure benchmarks run reduced configurations (short durations, fewer
-// rate points) so `go test -bench=.` completes in minutes; use
-// cmd/cic-experiments for full-scale regeneration.
+// tables — every result is a figure) plus kernel micro-benchmarks. Each
+// figure benchmark loads the figure's committed config under experiments/
+// and scales it down (one deployment, one rate, short traffic, small
+// payloads) so `go test -bench=.` completes in minutes; run the config
+// itself with `cic-experiments -config` for full-scale regeneration.
 package cic_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
+	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -18,21 +21,11 @@ import (
 	"cic/internal/core"
 	"cic/internal/dsp"
 	"cic/internal/eval"
+	"cic/internal/experiment"
 	"cic/internal/frame"
 	"cic/internal/phy"
 	"cic/internal/rx"
-	"cic/internal/sim"
 )
-
-// benchEvalConfig is a reduced experiment configuration for benchmarks.
-func benchEvalConfig() eval.Config {
-	cfg := eval.DefaultConfig()
-	cfg.Rates = []float64{40}
-	cfg.Duration = 0.5
-	cfg.PayloadLen = 16
-	cfg.Workers = 0
-	return cfg
-}
 
 // --- Kernel micro-benchmarks ---------------------------------------------
 
@@ -89,7 +82,7 @@ func BenchmarkPHYEncodeDecode(b *testing.B) {
 // benchCollisionSource builds a reusable n-packet collision air.
 func benchCollisionSource(b testing.TB, n int) (rx.SampleSource, []*rx.Packet, frame.Config) {
 	b.Helper()
-	cfg := benchEvalConfig().Frame
+	cfg := eval.DefaultConfig().Frame
 	symSamples := int64(cfg.Chirp.SamplesPerSymbol())
 	var ems []cic.Emission
 	pub := cic.DefaultConfig()
@@ -374,68 +367,71 @@ func stderrPct(ratios []float64) float64 {
 
 // --- Figure benchmarks -----------------------------------------------------
 
-func benchFigure(b *testing.B, run func(eval.Config) (eval.Figure, error)) {
-	cfg := benchEvalConfig()
+// scaledConfig loads experiments/<name>.json and keeps its dep-th
+// deployment point at 40 pkts/s for 0.5 s of 16-byte packets.
+func scaledConfig(b *testing.B, name string, dep int) *experiment.Config {
+	b.Helper()
+	cfg, err := experiment.Load(filepath.Join("experiments", name+".json"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg.Deployments = cfg.Deployments[dep : dep+1]
+	cfg.Rates = []float64{40}
+	cfg.DurationS = 0.5
+	cfg.PayloadLen = 16
+	return cfg
+}
+
+// benchConfig regenerates cfg's figures once per iteration: a figure
+// config through Figures, a sweep through Run and Aggregate.
+func benchConfig(b *testing.B, cfg *experiment.Config) {
+	if err := cfg.Validate(); err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fig, err := run(cfg)
+		var figs []eval.Figure
+		var err error
+		if cfg.Kind == experiment.KindSweep {
+			var res *experiment.RunResult
+			if res, err = experiment.Run(context.Background(), cfg, experiment.RunnerOptions{}); err == nil {
+				figs, err = experiment.Aggregate(cfg, res.Results)
+			}
+		} else {
+			figs, err = experiment.Figures(cfg)
+		}
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(fig.Series) == 0 {
+		if len(figs) == 0 || len(figs[0].Series) == 0 {
 			b.Fatal("empty figure")
 		}
 	}
 }
 
-func BenchmarkFig12to14Spectra(b *testing.B) { benchFigure(b, eval.SpectraDemo) }
-func BenchmarkFig15Heisenberg(b *testing.B)  { benchFigure(b, eval.Heisenberg) }
-func BenchmarkFig17Cancellation(b *testing.B) {
-	benchFigure(b, eval.Cancellation)
-}
-func BenchmarkFig19to20PreambleClutter(b *testing.B) { benchFigure(b, eval.PreambleClutter) }
-func BenchmarkFig22to26DeploymentMaps(b *testing.B)  { benchFigure(b, eval.DeploymentMaps) }
-func BenchmarkFig27SNRDistribution(b *testing.B)     { benchFigure(b, eval.SNRDistribution) }
+func benchFigure(b *testing.B, name string, dep int) { benchConfig(b, scaledConfig(b, name, dep)) }
 
-func benchThroughput(b *testing.B, dep sim.Deployment) {
-	benchFigure(b, func(cfg eval.Config) (eval.Figure, error) {
-		return eval.Throughput(cfg, dep)
-	})
-}
-
-func BenchmarkFig28ThroughputD1(b *testing.B) { benchThroughput(b, sim.D1) }
-func BenchmarkFig29ThroughputD2(b *testing.B) { benchThroughput(b, sim.D2) }
-func BenchmarkFig30ThroughputD3(b *testing.B) { benchThroughput(b, sim.D3) }
-func BenchmarkFig31ThroughputD4(b *testing.B) { benchThroughput(b, sim.D4) }
-
-func benchDetection(b *testing.B, dep sim.Deployment) {
-	benchFigure(b, func(cfg eval.Config) (eval.Figure, error) {
-		return eval.Detection(cfg, dep)
-	})
-}
-
-func BenchmarkFig32DetectionD1(b *testing.B) { benchDetection(b, sim.D1) }
-func BenchmarkFig33DetectionD2(b *testing.B) { benchDetection(b, sim.D2) }
-func BenchmarkFig34DetectionD3(b *testing.B) { benchDetection(b, sim.D3) }
-func BenchmarkFig35DetectionD4(b *testing.B) { benchDetection(b, sim.D4) }
-
-func BenchmarkFig36AblationD1(b *testing.B) {
-	benchFigure(b, func(cfg eval.Config) (eval.Figure, error) {
-		return eval.Ablation(cfg, sim.D1)
-	})
-}
-
-func BenchmarkFig37AblationD4(b *testing.B) {
-	benchFigure(b, func(cfg eval.Config) (eval.Figure, error) {
-		return eval.Ablation(cfg, sim.D4)
-	})
-}
+func BenchmarkFig12to14Spectra(b *testing.B)         { benchFigure(b, "spectra", 0) }
+func BenchmarkFig15Heisenberg(b *testing.B)          { benchFigure(b, "heisenberg", 0) }
+func BenchmarkFig17Cancellation(b *testing.B)        { benchFigure(b, "cancellation", 0) }
+func BenchmarkFig19to20PreambleClutter(b *testing.B) { benchFigure(b, "clutter", 0) }
+func BenchmarkFig22to26DeploymentMaps(b *testing.B)  { benchFigure(b, "maps", 0) }
+func BenchmarkFig27SNRDistribution(b *testing.B)     { benchFigure(b, "snr", 0) }
+func BenchmarkFig28ThroughputD1(b *testing.B)        { benchFigure(b, "throughput", 0) }
+func BenchmarkFig29ThroughputD2(b *testing.B)        { benchFigure(b, "throughput", 1) }
+func BenchmarkFig30ThroughputD3(b *testing.B)        { benchFigure(b, "throughput", 2) }
+func BenchmarkFig31ThroughputD4(b *testing.B)        { benchFigure(b, "throughput", 3) }
+func BenchmarkFig32DetectionD1(b *testing.B)         { benchFigure(b, "detection", 0) }
+func BenchmarkFig33DetectionD2(b *testing.B)         { benchFigure(b, "detection", 1) }
+func BenchmarkFig34DetectionD3(b *testing.B)         { benchFigure(b, "detection", 2) }
+func BenchmarkFig35DetectionD4(b *testing.B)         { benchFigure(b, "detection", 3) }
+func BenchmarkFig36AblationD1(b *testing.B)          { benchFigure(b, "ablation", 0) }
+func BenchmarkFig37AblationD4(b *testing.B)          { benchFigure(b, "ablation", 1) }
 
 func BenchmarkFig38TemporalProximity(b *testing.B) {
-	benchFigure(b, func(cfg eval.Config) (eval.Figure, error) {
-		cfg.PayloadLen = 8 // 10 offsets × 2 packets per iteration: keep it lean
-		return eval.TemporalProximity(cfg)
-	})
+	cfg := scaledConfig(b, "temporal", 0)
+	cfg.PayloadLen = 8 // 10 offsets × 2 packets per iteration: keep it lean
+	benchConfig(b, cfg)
 }
 
 // --- Design-choice ablation benchmarks --------------------------------------

@@ -2,37 +2,20 @@
 // "Concurrent Interference Cancellation: Decoding Multi-Packet Collisions
 // in LoRa" (SIGCOMM 2021).
 //
-// The primary interface is declarative: every committed figure has a
-// config under experiments/, and
+// Every experiment is a declarative config: each committed figure has
+// one under experiments/, and
 //
 //	cic-experiments -config experiments/<fig>.json -outdir results
 //
-// regenerates it. Sweep configs expand into a deterministic
-// deployment × rate × seed trial matrix executed on a bounded worker
-// pool; -journal checkpoints completed trials as NDJSON so an
-// interrupted matrix resumes without recomputation, and -drive gatewayd
-// runs the CIC receiver behind a real cic-gatewayd over TCP. See
-// docs/EXPERIMENTS.md for the schema, journal format and resume
-// semantics.
-//
-// The legacy positional interface is kept for exploration:
-//
-//	cic-experiments [flags] <experiment>
-//
-// Experiments:
-//
-//	throughput   Figs 28–31: network capacity vs offered load (per deployment)
-//	detection    Figs 32–35: packet detection rate vs offered load
-//	ablation     Figs 36–37: CIC feature ablation (D1 and D4)
-//	temporal     Fig 38: SER vs sub-symbol collision offset
-//	cancellation Fig 17: cancellation depth vs Δτ and Δf
-//	heisenberg   Fig 15: spectral resolution vs window span
-//	clutter      Figs 19–20: up-chirp vs down-chirp detection clutter
-//	snr          Fig 27: deployment SNR distributions
-//	maps         Figs 22–26: deployment geometry
-//	spectra      Figs 12–14: collision spectra (LoRa/strawman/CIC)
-//	icss         extension: optimal-ICSS vs Strawman-CIC throughput
-//	all          everything above
+// regenerates it. The config fixes everything that affects the result
+// (channel, deployments, rates, duration, payload, seeds, receivers,
+// decode workers); the flags only choose how and where it runs. Sweep
+// configs expand into a deterministic deployment × rate × seed trial
+// matrix executed on a bounded worker pool; -journal checkpoints
+// completed trials as NDJSON so an interrupted matrix resumes without
+// recomputation, and -drive gatewayd runs the CIC receiver behind a real
+// cic-gatewayd over TCP. See docs/EXPERIMENTS.md for the schema, journal
+// format and resume semantics.
 //
 // Figures are written to stdout (table) or to -outdir as CSV files.
 package main
@@ -46,14 +29,11 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"syscall"
 
 	"cic/internal/eval"
 	"cic/internal/experiment"
 	"cic/internal/obs"
-	"cic/internal/sim"
 )
 
 func main() {
@@ -65,7 +45,7 @@ func main() {
 
 func run() error {
 	var (
-		configPath = flag.String("config", "", "declarative experiment config (JSON, see experiments/); replaces the positional experiment")
+		configPath = flag.String("config", "", "declarative experiment config (JSON, see experiments/)")
 		journal    = flag.String("journal", "", "NDJSON trial journal for sweep configs: completed trials checkpoint here and a rerun resumes")
 		drive      = flag.String("drive", "", "sweep drive mode: inprocess (default) or gatewayd")
 		gwBin      = flag.String("gatewayd-bin", "", "with -drive gatewayd: spawn this cic-gatewayd binary on loopback")
@@ -74,26 +54,20 @@ func run() error {
 		stopAfter  = flag.Int("stop-after", 0, "stop a sweep cleanly after N newly executed trials (resume later from -journal)")
 		trialConc  = flag.Int("trial-concurrency", 0, "sweep trial worker pool size (0 = GOMAXPROCS)")
 		quiet      = flag.Bool("quiet", false, "suppress per-trial progress logging")
-		deployment = flag.String("deployment", "", "deployment D1..D4 (default: all that apply)")
-		rates      = flag.String("rates", "5,10,20,40,60,80,100", "comma-separated offered loads (pkts/s)")
-		duration   = flag.Float64("duration", 2.0, "seconds of traffic per rate point (paper: 60)")
-		payload    = flag.Int("payload", 28, "payload length in bytes")
-		seed       = flag.Int64("seed", 1, "simulation seed")
-		sf         = flag.Int("sf", 8, "spreading factor")
-		bw         = flag.Float64("bw", 250e3, "bandwidth in Hz")
-		osr        = flag.Int("osr", 4, "oversampling ratio (paper capture: 8)")
-		workers    = flag.Int("workers", 0, "decode workers (0 = GOMAXPROCS)")
 		outdir     = flag.String("outdir", "", "write figures as CSV files into this directory")
 		svg        = flag.Bool("svg", false, "with -outdir: also write an .svg chart per figure")
 		format     = flag.String("format", "table", "stdout format: table or csv")
 		debugAddr  = flag.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address while running")
 	)
 	flag.Parse()
+	if *configPath == "" || flag.NArg() != 0 {
+		flag.Usage()
+		return fmt.Errorf("-config <experiments/*.json> is required and takes no positional arguments")
+	}
 
-	// Experiments always run instrumented: the receivers and the runner
-	// feed a metrics registry whose decode-latency histogram is summarised
-	// after the run, and -debug-addr exposes it live (plus expvar and
-	// pprof) while long experiments execute.
+	// Sweeps feed the runner's experiment_* metrics into this registry;
+	// -debug-addr exposes it live (plus expvar and pprof) while long
+	// experiments execute.
 	reg := obs.NewRegistry()
 	if *debugAddr != "" {
 		go func() {
@@ -104,71 +78,22 @@ func run() error {
 		fmt.Fprintf(os.Stderr, "debug endpoint on http://%s/metrics\n", *debugAddr)
 	}
 
-	if *configPath != "" {
-		if flag.NArg() != 0 {
-			return fmt.Errorf("-config and a positional experiment are mutually exclusive")
-		}
-		figs, err := runConfig(configOptions{
-			path:      *configPath,
-			journal:   *journal,
-			drive:     *drive,
-			gwBin:     *gwBin,
-			gwAddr:    *gwAddr,
-			gwOut:     *gwOut,
-			stopAfter: *stopAfter,
-			trialConc: *trialConc,
-			quiet:     *quiet,
-			metrics:   reg,
-		})
-		if err != nil {
-			return err
-		}
-		if err := emit(figs, *outdir, *format, *svg); err != nil {
-			return err
-		}
-		printDecodeStats(reg.Snapshot())
-		return nil
-	}
-
-	if flag.NArg() != 1 {
-		flag.Usage()
-		return fmt.Errorf("exactly one experiment (or -config) required")
-	}
-	exp := flag.Arg(0)
-
-	cfg := eval.DefaultConfig()
-	cfg.Duration = *duration
-	cfg.PayloadLen = *payload
-	cfg.Seed = *seed
-	cfg.Workers = *workers
-	cfg.Metrics = reg
-	cfg.Frame.Chirp.SF = *sf
-	cfg.Frame.Chirp.Bandwidth = *bw
-	cfg.Frame.Chirp.OSR = *osr
-	cfg.Frame.PHY.SF = *sf
-	cfg.Rates = cfg.Rates[:0]
-	for _, part := range strings.Split(*rates, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil {
-			return fmt.Errorf("bad rate %q: %w", part, err)
-		}
-		cfg.Rates = append(cfg.Rates, v)
-	}
-
-	deps, err := selectDeployments(*deployment)
+	figs, err := runConfig(configOptions{
+		path:      *configPath,
+		journal:   *journal,
+		drive:     *drive,
+		gwBin:     *gwBin,
+		gwAddr:    *gwAddr,
+		gwOut:     *gwOut,
+		stopAfter: *stopAfter,
+		trialConc: *trialConc,
+		quiet:     *quiet,
+		metrics:   reg,
+	})
 	if err != nil {
 		return err
 	}
-
-	figs, err := runExperiment(exp, cfg, deps)
-	if err != nil {
-		return err
-	}
-	if err := emit(figs, *outdir, *format, *svg); err != nil {
-		return err
-	}
-	printDecodeStats(reg.Snapshot())
-	return nil
+	return emit(figs, *outdir, *format, *svg)
 }
 
 // configOptions carries the -config mode flags.
@@ -203,7 +128,7 @@ func runConfig(o configOptions) ([]eval.Figure, error) {
 				return nil, fmt.Errorf("%s applies only to sweep configs (%s is kind %q)", f.name, o.path, cfg.Kind)
 			}
 		}
-		return experiment.Figures(cfg, o.metrics)
+		return experiment.Figures(cfg)
 	}
 
 	opts := experiment.RunnerOptions{
@@ -255,107 +180,6 @@ func runConfig(o configOptions) ([]eval.Figure, error) {
 		return nil, nil
 	}
 	return experiment.Aggregate(cfg, res.Results)
-}
-
-// printDecodeStats summarises the CIC receiver's decode metrics for the
-// run — most importantly the per-packet decode-latency histogram (in batch
-// mode: the payload-demodulation span per packet).
-func printDecodeStats(s obs.Snapshot) {
-	h, ok := s.Histograms[obs.MetricDecodeLatency]
-	if !ok || h.Count == 0 {
-		return
-	}
-	fmt.Printf("\nCIC decode stats: %d packets emitted, %d preambles detected, CRC %d pass / %d fail\n",
-		s.Counters[obs.MetricPacketsEmitted], s.Counters[obs.MetricPreamblesDetected],
-		s.Counters[obs.MetricCRCPass], s.Counters[obs.MetricCRCFail])
-	fmt.Printf("decode_latency_seconds: n=%d mean=%.6f p50=%.6f p90=%.6f p99=%.6f\n",
-		h.Count, h.Mean(), h.Quantile(0.50), h.Quantile(0.90), h.Quantile(0.99))
-}
-
-func selectDeployments(name string) ([]sim.Deployment, error) {
-	if name == "" {
-		return sim.Deployments(), nil
-	}
-	d, err := sim.DeploymentByName(strings.ToUpper(name))
-	if err != nil {
-		return nil, err
-	}
-	return []sim.Deployment{d}, nil
-}
-
-func runExperiment(exp string, cfg eval.Config, deps []sim.Deployment) ([]eval.Figure, error) {
-	var figs []eval.Figure
-	add := func(f eval.Figure, err error) error {
-		if err != nil {
-			return err
-		}
-		figs = append(figs, f)
-		return nil
-	}
-	switch exp {
-	case "throughput":
-		for _, d := range deps {
-			if err := add(eval.Throughput(cfg, d)); err != nil {
-				return nil, err
-			}
-			// Append the headline-ratio view computed from the same data.
-			if sum, err := eval.Summary(figs[len(figs)-1]); err == nil {
-				figs = append(figs, sum)
-			}
-		}
-	case "detection":
-		for _, d := range deps {
-			if err := add(eval.Detection(cfg, d)); err != nil {
-				return nil, err
-			}
-		}
-	case "ablation":
-		for _, d := range deps {
-			if d.Name != "D1" && d.Name != "D4" && len(deps) == 4 {
-				continue // the paper ablates only the two extremes
-			}
-			if err := add(eval.Ablation(cfg, d)); err != nil {
-				return nil, err
-			}
-		}
-	case "temporal":
-		return figs, add(eval.TemporalProximity(cfg))
-	case "cancellation":
-		return figs, add(eval.Cancellation(cfg))
-	case "heisenberg":
-		return figs, add(eval.Heisenberg(cfg))
-	case "clutter":
-		return figs, add(eval.PreambleClutter(cfg))
-	case "snr":
-		return figs, add(eval.SNRDistribution(cfg))
-	case "maps":
-		return figs, add(eval.DeploymentMaps(cfg))
-	case "spectra":
-		return figs, add(eval.SpectraDemo(cfg))
-	case "icss":
-		for _, d := range deps {
-			if d.Name != "D1" && len(deps) == 4 {
-				continue // one deployment suffices for the ICSS ablation
-			}
-			if err := add(eval.ICSSComparison(cfg, d)); err != nil {
-				return nil, err
-			}
-		}
-	case "all":
-		for _, sub := range []string{
-			"heisenberg", "cancellation", "clutter", "snr", "maps",
-			"spectra", "temporal", "throughput", "detection", "ablation",
-		} {
-			sf, err := runExperiment(sub, cfg, deps)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", sub, err)
-			}
-			figs = append(figs, sf...)
-		}
-	default:
-		return nil, fmt.Errorf("unknown experiment %q", exp)
-	}
-	return figs, nil
 }
 
 func emit(figs []eval.Figure, outdir, format string, svg bool) error {

@@ -6,45 +6,7 @@ import (
 	"testing"
 
 	"cic/internal/eval"
-	"cic/internal/sim"
 )
-
-func TestSelectDeployments(t *testing.T) {
-	all, err := selectDeployments("")
-	if err != nil || len(all) != 4 {
-		t.Fatalf("default deployments: %v, %d", err, len(all))
-	}
-	one, err := selectDeployments("d3")
-	if err != nil || len(one) != 1 || one[0].Name != "D3" {
-		t.Fatalf("d3: %v, %+v", err, one)
-	}
-	if _, err := selectDeployments("D7"); err == nil {
-		t.Error("bogus deployment accepted")
-	}
-}
-
-func TestRunExperimentUnknown(t *testing.T) {
-	cfg := eval.DefaultConfig()
-	if _, err := runExperiment("nonsense", cfg, sim.Deployments()); err == nil {
-		t.Error("unknown experiment accepted")
-	}
-}
-
-func TestRunExperimentLightweightFigures(t *testing.T) {
-	cfg := eval.DefaultConfig()
-	cfg.Duration = 0.5
-	cfg.Rates = []float64{10}
-	cfg.PayloadLen = 8
-	for _, exp := range []string{"heisenberg", "snr", "maps", "cancellation"} {
-		figs, err := runExperiment(exp, cfg, sim.Deployments())
-		if err != nil {
-			t.Fatalf("%s: %v", exp, err)
-		}
-		if len(figs) == 0 {
-			t.Fatalf("%s produced no figures", exp)
-		}
-	}
-}
 
 func TestEmitTableAndCSV(t *testing.T) {
 	fig := eval.Figure{

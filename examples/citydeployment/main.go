@@ -40,7 +40,7 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("\noffered %.0f pkts/s (%d packets):\n", rate, len(run.Truth))
-		receivers, err := eval.DefaultReceivers(cfg.Frame, 0)
+		receivers, err := eval.DefaultReceivers(cfg.Frame, 0, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

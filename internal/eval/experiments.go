@@ -10,7 +10,6 @@ import (
 	"cic/internal/core"
 	"cic/internal/dsp"
 	"cic/internal/frame"
-	"cic/internal/obs"
 	"cic/internal/phy"
 	"cic/internal/rx"
 	"cic/internal/sim"
@@ -28,12 +27,6 @@ type Config struct {
 	PayloadLen int
 	Seed       int64
 	Workers    int
-
-	// Metrics, when non-nil, collects decode-pipeline metrics from the CIC
-	// receiver across every experiment run (the baselines are not
-	// instrumented). cmd/cic-experiments serves it behind -debug-addr and
-	// prints the decode-latency summary from it.
-	Metrics *obs.Registry
 }
 
 // DefaultConfig returns the paper-matching configuration.
@@ -52,26 +45,47 @@ func DefaultConfig() Config {
 	}
 }
 
-// figNumbers maps a deployment to its throughput/detection figure ids.
-var throughputFig = map[string]string{"D1": "fig28", "D2": "fig29", "D3": "fig30", "D4": "fig31"}
-var detectionFig = map[string]string{"D1": "fig32", "D2": "fig33", "D3": "fig34", "D4": "fig35"}
+// Ablation regenerates Figs 36–37: throughput for the four CIC feature
+// variants in one deployment (the paper shows D1 and D4).
+func Ablation(cfg Config, dep sim.Deployment) (Figure, error) {
+	id := "fig36"
+	if dep.Name == "D4" {
+		id = "fig37"
+	}
+	return cicSweep(cfg, dep, Figure{
+		ID:    id,
+		Title: fmt.Sprintf("Effect of Removing CIC Features for %s", dep.Name),
+	}, cicVariants)
+}
 
-// Throughput regenerates Figs 28–31: decoded packets/second vs offered
-// load for CIC, FTrack, Choir and standard LoRa in one deployment.
-func Throughput(cfg Config, dep sim.Deployment) (Figure, error) {
-	receivers, err := DefaultReceiversObserved(cfg.Frame, cfg.Workers, obs.NewDecodeMetrics(cfg.Metrics))
-	if err != nil {
-		return Figure{}, err
-	}
-	fig := Figure{
-		ID:     throughputFig[dep.Name],
-		Title:  fmt.Sprintf("Network Capacity for %s (%s)", dep.Name, dep.Label),
-		XLabel: "offered pkts/s",
-		YLabel: "decoded pkts/s",
-	}
-	series := make([]Series, len(receivers))
-	for i, r := range receivers {
-		series[i].Name = r.Name()
+// ICSSComparison is an extension figure implied by the paper's Figs 13–14:
+// network throughput of full CIC vs Strawman-CIC (the two-sub-symbol ICSS)
+// under the same traffic, quantifying what the optimal ICSS choice of §5.4
+// is worth end to end.
+func ICSSComparison(cfg Config, dep sim.Deployment) (Figure, error) {
+	return cicSweep(cfg, dep, Figure{
+		ID:    "icss",
+		Title: fmt.Sprintf("Optimal ICSS vs Strawman for %s", dep.Name),
+	}, []cicVariant{
+		{"CIC (optimal ICSS)", core.Options{}},
+		{"Strawman-CIC", core.Options{Strawman: true}},
+	})
+}
+
+// cicSweep fills fig with the decoded throughput of each CIC variant over
+// cfg.Rates in one deployment, every variant decoding the same rendered
+// traffic at each rate.
+func cicSweep(cfg Config, dep sim.Deployment, fig Figure, variants []cicVariant) (Figure, error) {
+	fig.XLabel, fig.YLabel = "offered pkts/s", "decoded pkts/s"
+	receivers := make([]Receiver, len(variants))
+	fig.Series = make([]Series, len(variants))
+	for i, v := range variants {
+		r, err := v.receiver(cfg.Frame, cfg.Workers, nil)
+		if err != nil {
+			return Figure{}, err
+		}
+		receivers[i] = r
+		fig.Series[i].Name = v.name
 	}
 	nw, err := sim.NewNetwork(cfg.Frame, dep, cfg.Seed)
 	if err != nil {
@@ -88,147 +102,10 @@ func Throughput(cfg Config, dep sim.Deployment) (Figure, error) {
 				return Figure{}, err
 			}
 			score := sim.ScoreDecodes(run, results, cfg.Duration)
-			series[i].X = append(series[i].X, rate)
-			series[i].Y = append(series[i].Y, score.Throughput())
+			fig.Series[i].X = append(fig.Series[i].X, rate)
+			fig.Series[i].Y = append(fig.Series[i].Y, score.Throughput())
 		}
 	}
-	fig.Series = series
-	return fig, nil
-}
-
-// Detection regenerates Figs 32–35: the fraction of transmitted packets
-// whose preamble is found, comparing CIC's down-chirp scan with the
-// conventional up-chirp scan (FTrack) and the locked single receiver
-// (standard LoRa).
-func Detection(cfg Config, dep sim.Deployment) (Figure, error) {
-	det, err := rx.NewDetector(cfg.Frame, rx.DetectorOptions{Metrics: obs.NewDecodeMetrics(cfg.Metrics)})
-	if err != nil {
-		return Figure{}, err
-	}
-	// FTrack's preamble search keeps multiple candidate peaks per window.
-	detFT, err := rx.NewDetector(cfg.Frame, rx.DetectorOptions{UpchirpTopK: 3})
-	if err != nil {
-		return Figure{}, err
-	}
-	fig := Figure{
-		ID:     detectionFig[dep.Name],
-		Title:  fmt.Sprintf("Packet Detection for %s (%s)", dep.Name, dep.Label),
-		XLabel: "offered pkts/s",
-		YLabel: "detection rate",
-	}
-	series := []Series{{Name: "CIC"}, {Name: "FTrack"}, {Name: "LoRa"}}
-	nw, err := sim.NewNetwork(cfg.Frame, dep, cfg.Seed)
-	if err != nil {
-		return Figure{}, err
-	}
-	for ri, rate := range cfg.Rates {
-		run, err := nw.BuildRun(rate, cfg.Duration, cfg.PayloadLen, cfg.Seed+int64(ri)*101)
-		if err != nil {
-			return Figure{}, err
-		}
-		down := det.ScanDownchirp(run.Source)
-		upFT := detFT.ScanUpchirp(run.Source)
-		up := det.ScanUpchirp(run.Source)
-		// Standard LoRa detects with up-chirps but holds a single-packet
-		// lock, so overlapped packets are never even received.
-		upForLock := clonePackets(up)
-		setLengths(cfg.Frame, cfg.PayloadLen, upForLock)
-		locked := captureFilterForEval(cfg.Frame, upForLock)
-
-		for i, pkts := range [][]*rx.Packet{down, upFT, locked} {
-			score := sim.ScoreDetections(run, pkts, cfg.Duration)
-			series[i].X = append(series[i].X, rate)
-			series[i].Y = append(series[i].Y, score.DetectionRate())
-		}
-	}
-	fig.Series = series
-	return fig, nil
-}
-
-// clonePackets copies tracked packets so filters can mutate lengths.
-func clonePackets(pkts []*rx.Packet) []*rx.Packet {
-	out := make([]*rx.Packet, len(pkts))
-	for i, p := range pkts {
-		c := *p
-		out[i] = &c
-	}
-	return out
-}
-
-// setLengths fixes NSymbols from the experiment's known payload length.
-func setLengths(cfg frame.Config, payloadLen int, pkts []*rx.Packet) {
-	n := phy.SymbolCount(cfg.PHY, payloadLen)
-	for _, p := range pkts {
-		p.NSymbols = n
-	}
-}
-
-// captureFilterForEval mirrors stdlora.CaptureFilter without importing it
-// (avoiding an eval→baseline→eval cycle risk); kept in sync by a test.
-func captureFilterForEval(cfg frame.Config, pkts []*rx.Packet) []*rx.Packet {
-	margin := dsp.AmplitudeFromDB(6)
-	var out []*rx.Packet
-	var cur *rx.Packet
-	for _, p := range pkts {
-		if cur == nil || p.Start >= cur.End(cfg) {
-			if cur != nil {
-				out = append(out, cur)
-			}
-			cur = p
-			continue
-		}
-		if p.PeakAmp > cur.PeakAmp*margin {
-			cur = p
-		}
-	}
-	if cur != nil {
-		out = append(out, cur)
-	}
-	return out
-}
-
-// Ablation regenerates Figs 36–37: throughput for the four CIC feature
-// variants in one deployment (the paper shows D1 and D4).
-func Ablation(cfg Config, dep sim.Deployment) (Figure, error) {
-	variants, err := CICVariants(cfg.Frame, cfg.Workers)
-	if err != nil {
-		return Figure{}, err
-	}
-	order := []string{"CIC", "CIC-(CFO)", "CIC-(Power)", "CIC-(Power,CFO)"}
-	id := "fig36"
-	if dep.Name == "D4" {
-		id = "fig37"
-	}
-	fig := Figure{
-		ID:     id,
-		Title:  fmt.Sprintf("Effect of Removing CIC Features for %s", dep.Name),
-		XLabel: "offered pkts/s",
-		YLabel: "decoded pkts/s",
-	}
-	series := make([]Series, len(order))
-	for i, name := range order {
-		series[i].Name = name
-	}
-	nw, err := sim.NewNetwork(cfg.Frame, dep, cfg.Seed)
-	if err != nil {
-		return Figure{}, err
-	}
-	for ri, rate := range cfg.Rates {
-		run, err := nw.BuildRun(rate, cfg.Duration, cfg.PayloadLen, cfg.Seed+int64(ri)*101)
-		if err != nil {
-			return Figure{}, err
-		}
-		for i, name := range order {
-			results, err := variants[name].Receive(run.Source)
-			if err != nil {
-				return Figure{}, err
-			}
-			score := sim.ScoreDecodes(run, results, cfg.Duration)
-			series[i].X = append(series[i].X, rate)
-			series[i].Y = append(series[i].Y, score.Throughput())
-		}
-	}
-	fig.Series = series
 	return fig, nil
 }
 
@@ -732,59 +609,9 @@ func SpectraDemo(cfg Config) (Figure, error) {
 	return fig, nil
 }
 
-// ICSSComparison is an extension figure implied by the paper's Figs 13–14:
-// network throughput of full CIC vs Strawman-CIC (the two-sub-symbol ICSS)
-// under the same traffic, quantifying what the optimal ICSS choice of §5.4
-// is worth end to end.
-func ICSSComparison(cfg Config, dep sim.Deployment) (Figure, error) {
-	variants := []struct {
-		name string
-		opts core.Options
-	}{
-		{"CIC (optimal ICSS)", core.Options{}},
-		{"Strawman-CIC", core.Options{Strawman: true}},
-	}
-	fig := Figure{
-		ID:     "icss",
-		Title:  fmt.Sprintf("Optimal ICSS vs Strawman for %s", dep.Name),
-		XLabel: "offered pkts/s",
-		YLabel: "decoded pkts/s",
-	}
-	nw, err := sim.NewNetwork(cfg.Frame, dep, cfg.Seed)
-	if err != nil {
-		return Figure{}, err
-	}
-	series := make([]Series, len(variants))
-	for i, v := range variants {
-		series[i].Name = v.name
-	}
-	for ri, rate := range cfg.Rates {
-		run, err := nw.BuildRun(rate, cfg.Duration, cfg.PayloadLen, cfg.Seed+int64(ri)*101)
-		if err != nil {
-			return Figure{}, err
-		}
-		for i, v := range variants {
-			recv, err := core.NewReceiver(cfg.Frame, v.opts, rx.DetectorOptions{}, cfg.Workers)
-			if err != nil {
-				return Figure{}, err
-			}
-			results, err := recv.Receive(run.Source)
-			if err != nil {
-				return Figure{}, err
-			}
-			score := sim.ScoreDecodes(run, results, cfg.Duration)
-			series[i].X = append(series[i].X, rate)
-			series[i].Y = append(series[i].Y, score.Throughput())
-		}
-	}
-	fig.Series = series
-	return fig, nil
-}
-
 // Summary computes the paper's headline ratios from throughput figures:
 // CIC÷LoRa and CIC÷FTrack at each offered load, for one deployment. It is
-// a post-processing view, so callers typically reuse a Figure produced by
-// Throughput.
+// a post-processing view of a throughput figure with those three series.
 func Summary(throughput Figure) (Figure, error) {
 	var cic, ftrack, lora *Series
 	for i := range throughput.Series {

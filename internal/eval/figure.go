@@ -1,10 +1,12 @@
-// Package eval regenerates every figure of the paper's evaluation (§7):
-// network throughput (Figs 28–31), packet detection (Figs 32–35), the CIC
+// Package eval holds the figures of the paper's evaluation (§7) and the
+// receivers they compare. The single-shot figures live here: the CIC
 // feature ablation (Figs 36–37), temporal-proximity SER (Fig 38), the
 // cancellation-extent map (Fig 17), the Heisenberg illustration (Fig 15),
 // preamble-detection clutter (Figs 19–20), deployment SNR distributions
-// (Fig 27), the deployment maps (Figs 22–26), and the collision spectra
-// demonstration (Figs 12–14).
+// (Fig 27), the deployment maps (Figs 22–26) and the collision spectra
+// demonstration (Figs 12–14). Network throughput (Figs 28–31) and packet
+// detection (Figs 32–35) are trial-matrix sweeps that internal/experiment
+// runs over ReceiverByName and DetectionScanners.
 package eval
 
 import (

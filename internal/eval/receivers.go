@@ -9,6 +9,7 @@ import (
 	"cic/internal/core"
 	"cic/internal/frame"
 	"cic/internal/obs"
+	"cic/internal/phy"
 	"cic/internal/rx"
 )
 
@@ -18,53 +19,49 @@ type Receiver interface {
 	Receive(src rx.SampleSource) ([]rx.Decoded, error)
 }
 
-// DefaultReceivers builds the four receivers the paper compares:
-// CIC, FTrack, Choir, and standard LoRa.
-func DefaultReceivers(cfg frame.Config, workers int) ([]Receiver, error) {
-	return DefaultReceiversObserved(cfg, workers, nil)
-}
-
-// DefaultReceiversObserved is DefaultReceivers with the CIC receiver's
-// decode stages instrumented on m (nil m disables instrumentation). Only
-// the CIC receiver is instrumented — it is the receiver under study; the
-// baselines exist for comparison curves.
-func DefaultReceiversObserved(cfg frame.Config, workers int, m *obs.DecodeMetrics) ([]Receiver, error) {
-	cic, err := core.NewReceiver(cfg, core.Options{Metrics: m}, rx.DetectorOptions{Metrics: m}, workers)
-	if err != nil {
-		return nil, fmt.Errorf("eval: CIC receiver: %w", err)
-	}
-	ft, err := ftrack.New(cfg, ftrack.Options{}, rx.DetectorOptions{}, workers)
-	if err != nil {
-		return nil, fmt.Errorf("eval: FTrack receiver: %w", err)
-	}
-	ch, err := choir.New(cfg, choir.Options{}, rx.DetectorOptions{}, workers)
-	if err != nil {
-		return nil, fmt.Errorf("eval: Choir receiver: %w", err)
-	}
-	std, err := stdlora.New(cfg, rx.DetectorOptions{}, workers)
-	if err != nil {
-		return nil, fmt.Errorf("eval: LoRa receiver: %w", err)
-	}
-	return []Receiver{cic, ft, ch, std}, nil
-}
-
-// CICVariants builds the four ablation variants of Figs 36–37.
-func CICVariants(cfg frame.Config, workers int) (map[string]Receiver, error) {
-	variants := map[string]core.Options{
-		"CIC":             {},
-		"CIC-(CFO)":       {DisableCFOFilter: true},
-		"CIC-(Power)":     {DisablePowerFilter: true},
-		"CIC-(Power,CFO)": {DisableCFOFilter: true, DisablePowerFilter: true},
-	}
-	out := make(map[string]Receiver, len(variants))
-	for name, opts := range variants {
-		r, err := core.NewReceiver(cfg, opts, rx.DetectorOptions{}, workers)
+// DefaultReceivers builds the four receivers the paper compares, in
+// ReceiverNames order: CIC, FTrack, Choir and standard LoRa. m, when
+// non-nil, instruments the CIC receiver's decode stages; the baselines
+// exist for comparison curves and are not instrumented.
+func DefaultReceivers(cfg frame.Config, workers int, m *obs.DecodeMetrics) ([]Receiver, error) {
+	names := ReceiverNames()
+	out := make([]Receiver, len(names))
+	for i, name := range names {
+		r, err := ReceiverByName(cfg, workers, name, m)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("eval: %s receiver: %w", name, err)
 		}
-		out[name] = namedReceiver{name: name, Receiver: r}
+		out[i] = r
 	}
 	return out, nil
+}
+
+// cicVariant is a named CIC receiver configuration.
+type cicVariant struct {
+	name string
+	opts core.Options
+}
+
+// cicVariants are the CIC receivers ReceiverByName builds: the full
+// receiver and the feature ablations of Figs 36–37, in the figures'
+// series order.
+var cicVariants = []cicVariant{
+	{"CIC", core.Options{}},
+	{"CIC-(CFO)", core.Options{DisableCFOFilter: true}},
+	{"CIC-(Power)", core.Options{DisablePowerFilter: true}},
+	{"CIC-(Power,CFO)", core.Options{DisableCFOFilter: true, DisablePowerFilter: true}},
+}
+
+// receiver builds the variant's CIC receiver, instrumented on m when m is
+// non-nil, reporting the variant's name.
+func (v cicVariant) receiver(cfg frame.Config, workers int, m *obs.DecodeMetrics) (Receiver, error) {
+	opts := v.opts
+	opts.Metrics = m
+	r, err := core.NewReceiver(cfg, opts, rx.DetectorOptions{}, workers)
+	if err != nil {
+		return nil, err
+	}
+	return namedReceiver{Receiver: r, name: v.name}, nil
 }
 
 // namedReceiver overrides the display name of a wrapped receiver.
@@ -75,36 +72,21 @@ type namedReceiver struct {
 
 func (n namedReceiver) Name() string { return n.name }
 
-// ReceiverNames lists the receivers ReceiverByName can build, in the
-// paper's comparison order.
+// ReceiverNames lists the paper's comparison set, in its comparison order.
 func ReceiverNames() []string { return []string{"CIC", "FTrack", "Choir", "LoRa"} }
 
 // ReceiverByName builds a single named receiver from the paper's
 // comparison set ("CIC", "FTrack", "Choir", "LoRa") or the CIC ablation
 // variants of Figs 36–37 ("CIC-(CFO)", "CIC-(Power)", "CIC-(Power,CFO)").
 // The experiment harness uses this so a config can declare any subset.
+// m, when non-nil, instruments a CIC receiver's decode stages.
 func ReceiverByName(cfg frame.Config, workers int, name string, m *obs.DecodeMetrics) (Receiver, error) {
+	for _, v := range cicVariants {
+		if v.name == name {
+			return v.receiver(cfg, workers, m)
+		}
+	}
 	switch name {
-	case "CIC":
-		return core.NewReceiver(cfg, core.Options{Metrics: m}, rx.DetectorOptions{Metrics: m}, workers)
-	case "CIC-(CFO)":
-		r, err := core.NewReceiver(cfg, core.Options{DisableCFOFilter: true}, rx.DetectorOptions{}, workers)
-		if err != nil {
-			return nil, err
-		}
-		return namedReceiver{Receiver: r, name: name}, nil
-	case "CIC-(Power)":
-		r, err := core.NewReceiver(cfg, core.Options{DisablePowerFilter: true}, rx.DetectorOptions{}, workers)
-		if err != nil {
-			return nil, err
-		}
-		return namedReceiver{Receiver: r, name: name}, nil
-	case "CIC-(Power,CFO)":
-		r, err := core.NewReceiver(cfg, core.Options{DisableCFOFilter: true, DisablePowerFilter: true}, rx.DetectorOptions{}, workers)
-		if err != nil {
-			return nil, err
-		}
-		return namedReceiver{Receiver: r, name: name}, nil
 	case "FTrack":
 		return ftrack.New(cfg, ftrack.Options{}, rx.DetectorOptions{}, workers)
 	case "Choir":
@@ -141,9 +123,14 @@ func DetectionScanners(cfg frame.Config, payloadLen int) ([]DetectionScanner, er
 		{Name: "CIC", Scan: det.ScanDownchirp},
 		{Name: "FTrack", Scan: detFT.ScanUpchirp},
 		{Name: "LoRa", Scan: func(src rx.SampleSource) []*rx.Packet {
-			up := clonePackets(det.ScanUpchirp(src))
-			setLengths(cfg, payloadLen, up)
-			return captureFilterForEval(cfg, up)
+			// The lock holds a packet for its airtime, which the
+			// experiment's fixed payload length determines.
+			up := det.ScanUpchirp(src)
+			n := phy.SymbolCount(cfg.PHY, payloadLen)
+			for _, p := range up {
+				p.NSymbols = n
+			}
+			return stdlora.CaptureFilter(cfg, up)
 		}},
 	}, nil
 }

@@ -153,8 +153,8 @@ type Seeds struct {
 	Count int `json:"count,omitempty"`
 }
 
-// figureNames are the KindFigure experiments, mirroring the legacy
-// cic-experiments subcommands that are not sweeps.
+// figureNames are the KindFigure experiments: the internal/eval figures
+// that are not trial matrices.
 var figureNames = map[string]bool{
 	"heisenberg": true, "cancellation": true, "clutter": true,
 	"snr": true, "maps": true, "spectra": true, "temporal": true,

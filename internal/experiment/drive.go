@@ -11,7 +11,7 @@ import (
 // Drive modes.
 const (
 	// DriveInProcess scores every receiver in this process against the
-	// rendered run (the batch pipeline the legacy figures used).
+	// rendered run through the batch pipeline.
 	DriveInProcess = "inprocess"
 	// DriveGatewayd streams the CIC receiver's IQ through a cic-gatewayd
 	// over TCP (server.ReconnectingClient) and scores the daemon's NDJSON

@@ -457,7 +457,7 @@ func TestRunRejectsBadOptions(t *testing.T) {
 	if _, err := Aggregate(fig, nil); err == nil {
 		t.Error("figure config accepted by aggregator")
 	}
-	if _, err := Figures(cfg, nil); err == nil {
+	if _, err := Figures(cfg); err == nil {
 		t.Error("sweep config accepted by figure dispatch")
 	}
 }
@@ -496,11 +496,92 @@ func TestFiguresDispatch(t *testing.T) {
 		"deployments": [{"base":"D1"},{"base":"D2"},{"base":"D3"},{"base":"D4"}],
 		"seeds": {"base": 1}
 	}`)
-	figs, err := Figures(cfg, nil)
+	figs, err := Figures(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(figs) != 1 || len(figs[0].Series) == 0 {
 		t.Fatalf("snr figure: %+v", figs)
+	}
+}
+
+// TestFigureConfigsReproduceResults regenerates the fast committed figure
+// configs through Load → Figures → WriteCSV and compares each CSV with
+// its committed copy under results/ byte for byte.
+func TestFigureConfigsReproduceResults(t *testing.T) {
+	for _, name := range []string{"spectra", "heisenberg", "cancellation", "clutter", "maps", "snr", "temporal"} {
+		cfg, err := Load(filepath.Join("../../experiments", name+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		figs, err := Figures(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(figs) == 0 {
+			t.Fatalf("%s produced no figures", name)
+		}
+		for _, f := range figs {
+			var got bytes.Buffer
+			if err := f.WriteCSV(&got); err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(filepath.Join("../../results", f.ID+".csv"))
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Errorf("%s: %s.csv differs from results/%s.csv", name, f.ID, f.ID)
+			}
+		}
+	}
+}
+
+// runD1Point runs a one-trial sweep at rate on D1 and returns each
+// receiver's score.
+func runD1Point(t *testing.T, metric, receivers string, rate, durationS float64) map[string]ReceiverScore {
+	t.Helper()
+	cfg := mustParse(t, fmt.Sprintf(`{
+		"version": 1, "name": "d1-%s", "kind": "sweep", "metric": %q,
+		"deployments": [{"base": "D1"}],
+		"rates": [%g], "duration_s": %g, "payload_len": 16,
+		%s
+		"seeds": {"base": 1}
+	}`, metric, metric, rate, durationS, receivers))
+	res, err := Run(context.Background(), cfg, RunnerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Results[fmt.Sprintf("D1/r%g/s0", rate)].Receivers
+}
+
+// TestThroughputComparative is the headline regression: in D1 at high
+// load, CIC must beat FTrack and standard LoRa (Fig 28).
+func TestThroughputComparative(t *testing.T) {
+	if testing.Short() {
+		t.Skip("heavy")
+	}
+	y := runD1Point(t, MetricThroughput, `"receivers": ["CIC", "FTrack", "LoRa"],`, 40, 1.5)
+	t.Logf("decoded pkts/s: CIC %.1f, FTrack %.1f, LoRa %.1f", y["CIC"].Throughput, y["FTrack"].Throughput, y["LoRa"].Throughput)
+	if y["CIC"].Throughput <= 0 {
+		t.Fatal("CIC decoded nothing")
+	}
+	for _, base := range []string{"LoRa", "FTrack"} {
+		if y["CIC"].Throughput <= y[base].Throughput {
+			t.Errorf("CIC %.1f <= %s %.1f pkts/s at 40 pkts/s", y["CIC"].Throughput, base, y[base].Throughput)
+		}
+	}
+}
+
+// TestDetectionComparative: CIC's down-chirp scan must find at least as
+// many preambles as the locked standard LoRa receiver (Fig 32).
+func TestDetectionComparative(t *testing.T) {
+	if testing.Short() {
+		t.Skip("heavy")
+	}
+	y := runD1Point(t, MetricDetection, "", 60, 1)
+	t.Logf("detection rate: CIC %.2f, LoRa %.2f", y["CIC"].DetectionRate, y["LoRa"].DetectionRate)
+	if y["CIC"].DetectionRate < y["LoRa"].DetectionRate {
+		t.Errorf("CIC detection %.2f < locked LoRa %.2f", y["CIC"].DetectionRate, y["LoRa"].DetectionRate)
 	}
 }

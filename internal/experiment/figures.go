@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"cic/internal/eval"
-	"cic/internal/obs"
 	"cic/internal/sim"
 )
 
@@ -12,8 +11,7 @@ import (
 // internal/eval, parameterised from the config's channel / load / seed
 // fields. These are not trial matrices (no journal, no CIs) — they exist
 // so every committed figure of the paper regenerates from a config file.
-// metrics may be nil.
-func Figures(cfg *Config, metrics *obs.Registry) ([]eval.Figure, error) {
+func Figures(cfg *Config) ([]eval.Figure, error) {
 	if cfg.Kind != KindFigure {
 		return nil, fmt.Errorf("experiment: Figures wants a %q config", KindFigure)
 	}
@@ -24,7 +22,6 @@ func Figures(cfg *Config, metrics *obs.Registry) ([]eval.Figure, error) {
 		PayloadLen: cfg.PayloadLen,
 		Seed:       cfg.Seeds.Base,
 		Workers:    cfg.Workers,
-		Metrics:    metrics,
 	}
 	if ecfg.Duration == 0 {
 		ecfg.Duration = 2.0

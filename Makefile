@@ -6,7 +6,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all vet lint lint-fast build test race perfbench-test bench bench-gateway bench-json bench-matrix bench-gate fuzz chaos smoke experiments-smoke results ci
+.PHONY: all vet lint lint-fast build test race perfbench-test bench bench-gateway bench-json bench-matrix bench-gate fuzz chaos smoke experiments-smoke results decode-parity ci
 
 all: ci
 
@@ -67,7 +67,7 @@ perfbench-test:
 # committed config under experiments/). One iteration each — a smoke test
 # that the benches run, not a measurement (use bench-gateway for numbers).
 bench:
-	$(GO) test -run '^$$' -bench 'GatewayStream|FFT1024|FFT4096|ForwardWindowed1024|ForwardReal1024|DFTBin1024|DechirpAndFold|MustPlanParallel|CICSymbol|Fig12to14|Fig15|Fig17|Fig19to20|Fig22to26|Fig27|Fig38' -benchtime=1x ./ ./internal/dsp/
+	$(GO) test -run '^$$' -bench 'GatewayStream|FFT1024|FFT4096|ForwardWindowed1024|ForwardReal1024|DFTBin1024|BinProbe1024|DechirpAndFold|MustPlanParallel|CICSymbol|Fig12to14|Fig15|Fig17|Fig19to20|Fig22to26|Fig27|Fig38' -benchtime=1x ./ ./internal/dsp/
 
 # Measured gateway streaming throughput at 1/4/GOMAXPROCS workers;
 # baselines recorded in BENCH_gateway.json.
@@ -86,10 +86,10 @@ bench-json:
 # (bench-json) plus the DSP kernel record. Run on the machine whose
 # numbers you intend to commit; the records embed the host environment.
 bench-matrix: bench-json
-	$(GO) test -run '^$$' -bench 'FFT4096|ForwardWindowed1024|ForwardReal1024|DFTBin1024|DFTBinPair1024' -benchtime=1000x ./internal/dsp/ | \
+	$(GO) test -run '^$$' -bench 'FFT4096|ForwardWindowed1024|ForwardReal1024|DFTBin1024|DFTBinPair1024|BinProbe1024' -benchtime=1000x ./internal/dsp/ | \
 		$(GO) run ./cmd/cic-bench -out BENCH_dsp.json \
 		-benchmark "DSP kernels" \
-		-description "FFT kernel micro-benchmarks: radix-4 forward transform, fused windowed transform, packed real-input transform, Goertzel fractional-bin DTFT and its two-image pair probe (make bench-matrix)."
+		-description "FFT kernel micro-benchmarks: radix-4 forward transform, fused windowed transform, packed real-input transform, Goertzel fractional-bin DTFT, its two-image pair probe, and the candidate-bin SED probe (make bench-matrix)."
 
 # Regression gate against the committed records: allocs/op must stay
 # within max(+10%, +5) of BENCH_gateway.json / BENCH_dsp.json. Alloc
@@ -142,5 +142,14 @@ results:
 	         temporal throughput detection; do \
 		$(GO) run ./cmd/cic-experiments -config experiments/$$c.json -outdir results -quiet || exit 1; \
 	done
+
+# Decode byte-identity against a base revision: builds cic-gen and
+# cic-decode at BASE (git worktree under .bench_build/) and from this
+# checkout, and cmp's batch, -stream -workers 1 and -stream -workers 2
+# -chunk 1000 output on three check captures. Not part of ci (minutes,
+# and it needs BASE). See scripts/decode_parity.sh.
+decode-parity:
+	@test -n "$(BASE)" || { echo "usage: make decode-parity BASE=<rev>" >&2; exit 2; }
+	./scripts/decode_parity.sh $(BASE)
 
 ci: vet lint build race perfbench-test bench bench-gate fuzz chaos smoke experiments-smoke

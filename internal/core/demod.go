@@ -29,8 +29,9 @@ type Demodulator struct {
 	acc      dsp.Spectrum
 	sub      dsp.Spectrum
 	full     dsp.Spectrum
-	lh, rh   dsp.Spectrum
-	sedTmp   dsp.Spectrum
+	fullX    []complex128  // full window's complex spectrum (suffix identity)
+	splitX   []complex128  // one boundary's prefix, then suffix, spectrum
+	probe    *dsp.BinProbe // SED edge powers at one candidate bin
 	boundsB  []int
 	peaksBuf []dsp.Peak
 	candBuf  []Candidate
@@ -56,6 +57,11 @@ func NewDemodulator(cfg frame.Config, opts Options) (*Demodulator, error) {
 		return nil, err
 	}
 	n := cfg.Chirp.ChipCount()
+	m := cfg.Chirp.SamplesPerSymbol()
+	probe, err := dsp.NewBinProbe(n, cfg.Chirp.OSR)
+	if err != nil {
+		return nil, err
+	}
 	// Candidate scratch is pre-sized to the configured caps so a fresh
 	// demodulator's first symbols don't pay warm-up growth on the hot path
 	// (the caps bound every append below; growth remains possible but is
@@ -68,9 +74,9 @@ func NewDemodulator(cfg frame.Config, opts Options) (*Demodulator, error) {
 		acc:      make(dsp.Spectrum, n),
 		sub:      make(dsp.Spectrum, n),
 		full:     make(dsp.Spectrum, n),
-		lh:       make(dsp.Spectrum, n),
-		rh:       make(dsp.Spectrum, n),
-		sedTmp:   make(dsp.Spectrum, n),
+		fullX:    make([]complex128, m),
+		splitX:   make([]complex128, m),
+		probe:    probe,
 		boundsB:  make([]int, 0, 4*opts.MaxBoundaries),
 		peaksBuf: make([]dsp.Peak, 0, mc),
 		candBuf:  make([]Candidate, 0, mc),
@@ -501,47 +507,64 @@ func (dm *Demodulator) IntersectedSpectrum(src rx.SampleSource, pkt *rx.Packet, 
 //cic:hotpath
 func (dm *Demodulator) intersectICSS(bounds []int) dsp.Spectrum {
 	m := dm.cfg.Chirp.SamplesPerSymbol()
-	// Full symbol spectrum: keep an un-normalised copy for the power
-	// filter, then seed the accumulator with its normalised form.
-	fullRaw := dm.d.SubSymbolSpectrum(dm.full, 0, m)
-	copy(dm.acc, fullRaw)
+	// Full symbol spectrum: keep the complex transform for the suffix
+	// identity and an un-normalised fold for the power filter, then seed
+	// the accumulator with its normalised form.
+	dm.d.FFT().ForwardWindowed(dm.fullX, dm.d.Dechirped(), 0, m)
+	dsp.FoldMagnitude(dm.full, dm.fullX, dm.cfg.Chirp.ChipCount(), dm.cfg.Chirp.OSR)
+	copy(dm.acc, dm.full)
 	dm.acc.Normalize()
 
 	minSpan := int(dm.opts.MinSubSymbolFrac * float64(m))
-	nSub := int64(0)
+	nSub := 0
 	if dm.opts.Strawman {
 		// Strawman ICSS: {r_{1→2}, r_{N→N+1}} only.
 		if len(bounds) > 0 {
-			first, last := bounds[0], bounds[len(bounds)-1]
-			if first >= minSpan {
-				dsp.IntersectInto(dm.acc, dm.d.SubSymbolSpectrum(dm.sub, 0, first).Normalize())
-				nSub++
-			}
-			if m-last >= minSpan {
-				dsp.IntersectInto(dm.acc, dm.d.SubSymbolSpectrum(dm.sub, last, m).Normalize())
-				nSub++
-			}
+			nSub += dm.intersectSplit(bounds[0], minSpan, true, false)
+			nSub += dm.intersectSplit(bounds[len(bounds)-1], minSpan, false, true)
 		}
-		dm.opts.Metrics.ICSSSubSymbols.Add(nSub)
-		return dm.acc
-	}
-	for _, b := range bounds {
+	} else {
 		// The pair r_{1→i}, r_{i→N+1} cancels the transmission whose
 		// boundary sits at b, each at its best achievable resolution (§5.4).
-		// Sub-symbols below the minimum span are skipped: they cannot
-		// resolve the interferer they would cancel, and their
-		// noise-dominated spectra degrade the intersection.
-		if b >= minSpan {
-			dsp.IntersectInto(dm.acc, dm.d.SubSymbolSpectrum(dm.sub, 0, b).Normalize())
-			nSub++
-		}
-		if m-b >= minSpan {
-			dsp.IntersectInto(dm.acc, dm.d.SubSymbolSpectrum(dm.sub, b, m).Normalize())
-			nSub++
+		for _, b := range bounds {
+			nSub += dm.intersectSplit(b, minSpan, true, true)
 		}
 	}
-	dm.opts.Metrics.ICSSSubSymbols.Add(nSub)
+	dm.opts.Metrics.ICSSSubSymbols.Add(int64(nSub))
 	return dm.acc
+}
+
+// intersectSplit intersects into dm.acc the prefix r_{1→i} (when pre) and
+// the suffix r_{i→N+1} (when suf) of the window split at boundary b, and
+// returns how many it used. Sub-symbols below the minimum span are
+// skipped: they cannot resolve the interferer they would cancel, and
+// their noise-dominated spectra degrade the intersection. Both windows
+// are rectangular on the same zero-padded grid, so the suffix's complex
+// spectrum is the full window's minus the prefix's: one FFT per boundary.
+//
+//cic:hotpath
+func (dm *Demodulator) intersectSplit(b, minSpan int, pre, suf bool) int {
+	pre = pre && b >= minSpan
+	suf = suf && dm.cfg.Chirp.SamplesPerSymbol()-b >= minSpan
+	if !pre && !suf {
+		return 0
+	}
+	n, osr := dm.cfg.Chirp.ChipCount(), dm.cfg.Chirp.OSR
+	x := dm.splitX
+	dm.d.FFT().ForwardWindowed(x, dm.d.Dechirped(), 0, b)
+	used := 0
+	if pre {
+		dsp.IntersectInto(dm.acc, dsp.FoldMagnitude(dm.sub, x, n, osr).Normalize())
+		used++
+	}
+	if suf {
+		for i, v := range dm.fullX {
+			x[i] = v - x[i]
+		}
+		dsp.IntersectInto(dm.acc, dsp.FoldMagnitude(dm.sub, x, n, osr).Normalize())
+		used++
+	}
+	return used
 }
 
 // candidates extracts candidate bins from the intersected spectrum and
@@ -755,39 +778,19 @@ func (dm *Demodulator) filterPower(cands []Candidate, pkt *rx.Packet) []Candidat
 //
 //cic:hotpath
 func (dm *Demodulator) selectBySED(cands []Candidate) Candidate {
-	m := dm.cfg.Chirp.SamplesPerSymbol()
-	n := dm.opts.SEDWindows
-	half := m / 2
-	// Slide over a quarter symbol per edge: left windows start in
-	// [0, M/4], right windows end in [3M/4 … M]. Narrower sliding keeps
-	// the two sets disjoint enough to expose edge asymmetry.
-	step := (m / 4) / n
-	if step < 1 {
-		step = 1
-	}
-	for i := range dm.lh {
-		dm.lh[i] = math.Inf(1)
-		dm.rh[i] = math.Inf(1)
-	}
-	for i := 0; i < n; i++ {
-		from := i * step
-		dsp.IntersectInto(dm.lh, dm.d.SubSymbolSpectrum(dm.sedTmp, from, from+half))
-		to := m - i*step
-		dsp.IntersectInto(dm.rh, dm.d.SubSymbolSpectrum(dm.sedTmp, to-half, to))
-	}
 	best := cands[0]
 	bestScore := math.Inf(1)
 	nBins := dm.cfg.Chirp.ChipCount()
 	for i := range cands {
-		b := cands[i].Value(nBins)
-		sed := math.Abs(dm.rh[b] - dm.lh[b])
+		lh, rh := dm.sedEdges(cands[i].Value(nBins))
+		sed := math.Abs(rh - lh)
 		if dm.opts.RelativeSED {
-			if tot := dm.rh[b] + dm.lh[b]; tot > 0 {
+			if tot := rh + lh; tot > 0 {
 				sed /= tot
 			}
 		}
 		cands[i].SED = sed
-		cands[i].Score = dm.candidateScore(cands[i])
+		cands[i].Score = dm.candidateScore(cands[i], lh, rh)
 		if cands[i].Score < bestScore {
 			bestScore = cands[i].Score
 			best = cands[i]
@@ -796,19 +799,44 @@ func (dm *Demodulator) selectBySED(cands []Candidate) Candidate {
 	return best
 }
 
+// sedEdges returns the loaded window's left and right edge powers at
+// folded bin b: the minimum, over SEDWindows sliding half-symbol windows
+// per edge, of each window's folded power at b. Only the candidates' bins
+// are ever read, so one prefix-sum pass per candidate (dsp.BinProbe)
+// replaces 2·SEDWindows full sub-window FFTs.
+//
+//cic:hotpath
+func (dm *Demodulator) sedEdges(b int) (lh, rh float64) {
+	m := dm.cfg.Chirp.SamplesPerSymbol()
+	n := dm.opts.SEDWindows
+	half := m / 2
+	// Slide over a quarter symbol per edge: left windows start in
+	// [0, M/4], right windows end in [3M/4 … M]. Narrower sliding keeps
+	// the two sets disjoint enough to expose edge asymmetry.
+	step := max((m/4)/n, 1)
+	dm.probe.Load(dm.d.Dechirped(), b)
+	lh, rh = math.Inf(1), math.Inf(1)
+	for i := 0; i < n; i++ {
+		from := i * step
+		lh = min(lh, dm.probe.Power(from, from+half))
+		to := m - i*step
+		rh = min(rh, dm.probe.Power(to-half, to))
+	}
+	return lh, rh
+}
+
 // candidateScore combines the SED with the soft CFO and power residuals.
-// SED (relative to the candidate's edge energy) is the primary
+// SED (relative to the candidate's edge energy lh+rh) is the primary
 // discriminator per §5.6; the residuals break the near-ties that occur
 // when an interferer repeats a symbol across its boundary and therefore
 // also reads as edge-uniform.
 //
 //cic:hotpath
-func (dm *Demodulator) candidateScore(c Candidate) float64 {
-	b := c.Value(dm.cfg.Chirp.ChipCount())
-	tot := dm.rh[b] + dm.lh[b]
+func (dm *Demodulator) candidateScore(c Candidate, lh, rh float64) float64 {
+	tot := rh + lh
 	sedRel := 1.0
 	if tot > 0 {
-		sedRel = math.Abs(dm.rh[b]-dm.lh[b]) / tot
+		sedRel = math.Abs(rh-lh) / tot
 	}
 	score := sedRel
 	if !dm.opts.DisableCFOFilter {

@@ -48,10 +48,10 @@ type Options struct {
 	PowerToleranceDB float64
 
 	// MaxCandidates bounds how many intersected-spectrum peaks enter
-	// candidate selection. Default 12.
+	// candidate selection. Default 8.
 	MaxCandidates int
 	// CandidateFraction: peaks below this fraction of the intersected
-	// spectrum's maximum are not considered. Default 0.02 — a packet
+	// spectrum's maximum are not considered. Default 0.1 — a packet
 	// received 10 dB below a surviving interferer tone must still enter
 	// candidacy, and the CFO/power/SED stages are what discriminate.
 	CandidateFraction float64

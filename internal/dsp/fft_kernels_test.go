@@ -265,6 +265,40 @@ func TestSearchFineGridPairMatchesTwoSearches(t *testing.T) {
 	}
 }
 
+// TestBinProbeMatchesForwardWindowed checks the candidate-bin kernel
+// against the folded windowed FFT it replaces, at every bin, for OSR 1–8
+// and randomized windows including degenerate and out-of-range
+// [from, to) (which both sides clamp to [0, n)).
+func TestBinProbeMatchesForwardWindowed(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	const bins = 64
+	for _, osr := range []int{1, 2, 4, 8} {
+		n := bins * osr
+		f := MustPlan(n)
+		p, err := NewBinProbe(bins, osr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := randSignal(r, n)
+		spec := make([]complex128, n)
+		windows := [][2]int{{0, n}, {-n, n / 2}, {n / 2, 2 * n}, {n + 3, n + 9}, {7, 7}, {9, 4}}
+		for len(windows) < 24 {
+			windows = append(windows, [2]int{r.Intn(n+8) - 4, r.Intn(n+8) - 4})
+		}
+		for k := 0; k < bins; k++ {
+			p.Load(x, k)
+			for _, w := range windows {
+				f.ForwardWindowed(spec, x, w[0], w[1])
+				want := FoldMagnitude(nil, spec, bins, osr)[k]
+				tol := 1e-9 * FoldMagnitude(nil, spec, bins, osr).Energy()
+				if got := p.Power(w[0], w[1]); math.Abs(got-want) > tol {
+					t.Fatalf("osr=%d bin=%d window %v: probe %g, windowed FFT %g", osr, k, w, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestKernelsAllocFree pins the warm-path allocation budget of every FFT
 // kernel entry point at zero: after the plans are cached, no transform
 // call may allocate.
@@ -272,6 +306,10 @@ func TestKernelsAllocFree(t *testing.T) {
 	n := 1024
 	f := MustPlan(n)
 	MustPlan(n / 2) // ForwardReal's half-size plan
+	probe, err := NewBinProbe(n/4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	buf := make([]complex128, n)
 	dst := make([]complex128, n)
 	re := make([]float64, n)
@@ -291,6 +329,7 @@ func TestKernelsAllocFree(t *testing.T) {
 		{"Inverse", func() { f.Inverse(buf) }},
 		{"DFTBin", func() { _ = DFTBin(buf, n, 41.25) }},
 		{"DFTBinPair", func() { _, _ = DFTBinPair(buf, n, 41.25, 3*n/4) }},
+		{"BinProbe", func() { probe.Load(buf, 41); _ = probe.Power(100, 612) }},
 	}
 	for _, c := range checks {
 		if allocs := testing.AllocsPerRun(100, c.fn); allocs != 0 {
@@ -369,3 +408,28 @@ func BenchmarkDFTBinPair1024(b *testing.B) {
 
 // pairSink keeps BenchmarkDFTBinPair1024's call from being optimised away.
 var pairSink complex128
+
+// BenchmarkBinProbe1024 is one candidate's Spectral Edge Difference at
+// OSR 4: a prefix-sum pass over a 1024-sample symbol at both images, then
+// the folded power of the 2×10 sliding half-symbol windows. It replaces
+// 20 BenchmarkForwardWindowed1024 transforms per symbol.
+func BenchmarkBinProbe1024(b *testing.B) {
+	const n, windows = 1024, 10
+	x := benchSignal(n)
+	p, err := NewBinProbe(n/4, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	step := (n / 4) / windows
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Load(x, 93)
+		for w := 0; w < windows; w++ {
+			probeSink += p.Power(w*step, w*step+n/2) + p.Power(n-w*step-n/2, n-w*step)
+		}
+	}
+}
+
+// probeSink keeps BenchmarkBinProbe1024's powers from being optimised away.
+var probeSink float64

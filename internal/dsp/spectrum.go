@@ -411,3 +411,89 @@ func QuadInterp(s Spectrum, i int) (offset, height float64) {
 	}
 	return d, c - 0.25*(l-r)*d
 }
+
+// BinProbe evaluates the folded power spectrum of rectangular sub-windows
+// of one signal at a single folded LoRa bin, for any number of windows,
+// from one pass over the signal. It replaces one windowed FFT per window
+// wherever only a few bins of each sub-window spectrum are read (the
+// Spectral Edge Difference reads only the candidate bins).
+//
+// Load(x, k) builds the prefix sums P(q) = Σ_{t<q} x[t]·W^{k·t}, with
+// W = e^{−2πi/n}, at both OSR images of folded bin k: k and
+// k + (OSR−1)·bins. The zero-padded DFT of the window [from, to) at an
+// image is then P(to) − P(from), so Power returns
+// (|P_lo(to)−P_lo(from)| + |P_hi(to)−P_hi(from)|)², what FoldMagnitude
+// makes of ForwardWindowed's output at bin k, up to rounding. The phasor is
+// read from the plan's twiddle table at index (k·t) mod n rather than
+// advanced by repeated multiplication, so it does not drift.
+type BinProbe struct {
+	f         *FFT
+	bins, osr int
+	lo, hi    []complex128 // prefix sums at the two images, n+1 long
+}
+
+// NewBinProbe returns a probe for signals of bins·osr samples (a power of
+// two, as for the FFT plan of that size).
+func NewBinProbe(bins, osr int) (*BinProbe, error) {
+	f, err := Plan(bins * osr)
+	if err != nil {
+		return nil, err
+	}
+	return &BinProbe{
+		f:    f,
+		bins: bins,
+		osr:  osr,
+		lo:   make([]complex128, f.n+1),
+		hi:   make([]complex128, f.n+1),
+	}, nil
+}
+
+// Load sweeps x once for folded bin k. Samples past n are ignored and a
+// short x is treated as zero-extended, as ForwardWindowed treats them.
+//
+//cic:hotpath
+func (p *BinProbe) Load(x []complex128, k int) {
+	n := p.f.n
+	mask := n - 1
+	tw := p.f.twiddle[:n]
+	kLo := k & mask
+	kHi := (k + (p.osr-1)*p.bins) & mask
+	m := min(len(x), n)
+	x = x[:m]
+	lo, hi := p.lo[:n+1], p.hi[:n+1]
+	var sLo, sHi complex128
+	lo[0], hi[0] = 0, 0
+	iLo, iHi := 0, 0
+	for q, v := range x {
+		sLo += v * tw[iLo]
+		sHi += v * tw[iHi]
+		lo[q+1], hi[q+1] = sLo, sHi
+		iLo = (iLo + kLo) & mask
+		iHi = (iHi + kHi) & mask
+	}
+	for q := m; q < n; q++ {
+		lo[q+1], hi[q+1] = sLo, sHi
+	}
+}
+
+// Power returns the folded power of the loaded signal's window
+// [from, to) at the loaded bin. Like ForwardWindowed it clamps the window
+// to [0, n), and an empty window has zero power.
+//
+//cic:hotpath
+func (p *BinProbe) Power(from, to int) float64 {
+	from, to = max(from, 0), min(to, p.f.n)
+	if from >= to {
+		return 0
+	}
+	d := p.lo[to] - p.lo[from]
+	re, im := real(d), imag(d)
+	if p.osr == 1 {
+		return re*re + im*im
+	}
+	a := math.Sqrt(re*re + im*im)
+	d = p.hi[to] - p.hi[from]
+	re, im = real(d), imag(d)
+	a += math.Sqrt(re*re + im*im)
+	return a * a
+}

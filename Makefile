@@ -122,7 +122,7 @@ chaos:
 
 # Loopback end-to-end smoke of the ingestion pipeline:
 # cic-gen capture → cic-feed → cic-gatewayd → NDJSON assert (plus a
-# cic-decode -stream cross-check). See scripts/smoke.sh.
+# cic-decode cross-check). See scripts/smoke.sh.
 smoke:
 	./scripts/smoke.sh
 
@@ -144,10 +144,10 @@ results:
 	done
 
 # Decode byte-identity against a base revision: builds cic-gen and
-# cic-decode at BASE (git worktree under .bench_build/) and from this
-# checkout, and cmp's batch, -stream -workers 1 and -stream -workers 2
-# -chunk 1000 output on three check captures. Not part of ci (minutes,
-# and it needs BASE). See scripts/decode_parity.sh.
+# cic-decode at BASE (git archive under .bench_build/) and from this
+# checkout, and cmp's default, -workers 1 and -workers 2 -chunk 1000
+# output on three check captures. Not part of ci (minutes, and it needs
+# BASE). See scripts/decode_parity.sh.
 decode-parity:
 	@test -n "$(BASE)" || { echo "usage: make decode-parity BASE=<rev>" >&2; exit 2; }
 	./scripts/decode_parity.sh $(BASE)

@@ -166,14 +166,14 @@ func BenchmarkPreambleScanDownchirp(b *testing.B) {
 }
 
 func BenchmarkFullReceive3Packets(b *testing.B) {
-	src, _, cfg := benchCollisionSource(b, 3)
-	recv, err := core.NewReceiver(cfg, core.Options{}, rx.DetectorOptions{}, 0)
+	src, _, _ := benchCollisionSource(b, 3)
+	recv, err := cic.NewReceiver(cic.DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := recv.Receive(src); err != nil {
+		if _, err := recv.DecodeSource(src); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -440,21 +440,21 @@ func BenchmarkFig38TemporalProximity(b *testing.B) {
 // the strawman, SED on/off, and the §5.7 filters on/off. The reported
 // metric of interest is `decoded/op` (packets recovered per run).
 
-func benchAblation(b *testing.B, opts core.Options) {
-	src, pkts, cfg := benchCollisionSource(b, 4)
-	recv, err := core.NewReceiver(cfg, opts, rx.DetectorOptions{}, 0)
+func benchAblation(b *testing.B, opts ...cic.Option) {
+	src, _, _ := benchCollisionSource(b, 4)
+	recv, err := cic.NewReceiver(cic.DefaultConfig(), opts...)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	decoded := 0
 	for i := 0; i < b.N; i++ {
-		results, err := recv.DecodeAll(src, clonePkts(pkts))
+		pkts, err := recv.DecodeSource(src)
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, res := range results {
-			if res.OK() {
+		for _, p := range pkts {
+			if p.OK {
 				decoded++
 			}
 		}
@@ -462,21 +462,11 @@ func benchAblation(b *testing.B, opts core.Options) {
 	b.ReportMetric(float64(decoded)/float64(b.N), "decoded/op")
 }
 
-func clonePkts(pkts []*rx.Packet) []*rx.Packet {
-	out := make([]*rx.Packet, len(pkts))
-	for i, p := range pkts {
-		c := *p
-		out[i] = &c
-	}
-	return out
+func BenchmarkAblationFullCIC(b *testing.B) { benchAblation(b) }
+func BenchmarkAblationStrawman(b *testing.B) {
+	benchAblation(b, cic.WithAlgorithm(cic.AlgorithmStrawman))
 }
-
-func BenchmarkAblationFullCIC(b *testing.B)  { benchAblation(b, core.Options{}) }
-func BenchmarkAblationStrawman(b *testing.B) { benchAblation(b, core.Options{Strawman: true}) }
-func BenchmarkAblationNoSED(b *testing.B)    { benchAblation(b, core.Options{DisableSED: true}) }
+func BenchmarkAblationNoSED(b *testing.B) { benchAblation(b, cic.WithoutSED()) }
 func BenchmarkAblationNoFilters(b *testing.B) {
-	benchAblation(b, core.Options{DisableCFOFilter: true, DisablePowerFilter: true})
-}
-func BenchmarkAblationRelativeSED(b *testing.B) {
-	benchAblation(b, core.Options{RelativeSED: true})
+	benchAblation(b, cic.WithoutCFOFilter(), cic.WithoutPowerFilter())
 }

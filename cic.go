@@ -20,6 +20,13 @@
 // packet, including packets that collide in time — the paper's
 // contribution. Algorithm selection (WithAlgorithm) switches between CIC
 // and the baseline decoders for comparison.
+//
+// There is one decoder: the streaming Gateway, which takes IQ in chunks of
+// any size and delivers packets on a channel as each transmission
+// completes. A Receiver decode writes its whole input into a Gateway and
+// closes it, so batch decoding, streaming, the cic-gatewayd daemon and
+// every evaluation figure share one pipeline, and the output does not
+// depend on how the input is chunked.
 package cic
 
 import (

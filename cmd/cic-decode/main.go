@@ -5,13 +5,13 @@
 // Usage:
 //
 //	cic-decode -in capture.cf32 [-algo cic|strawman|lora|choir|ftrack] [flags]
-//	cic-decode -in - -stream            # constant-memory decode from stdin
+//	cic-decode -in -                    # decode from stdin
 //
 // Decoded packets are printed one per line: start sample, SNR, CFO, CRC
-// status and payload hex. With -stream the capture is decoded through the
-// streaming cic.Gateway in fixed-size chunks, so memory stays constant no
-// matter how long the capture is (and -in - accepts a pipe); without it
-// the whole file is loaded and decoded by the batch Receiver.
+// status and payload hex. The capture streams through a cic.Gateway in
+// -chunk sized pieces, so memory stays constant no matter how long the
+// capture is (and -in - accepts a pipe). The chunk size does not change
+// what is decoded.
 package main
 
 import (
@@ -37,8 +37,7 @@ func run() error {
 	var (
 		in        = flag.String("in", "", `input .cf32 path, or "-" for stdin (required)`)
 		algo      = flag.String("algo", "cic", "decoder: cic, strawman, lora, choir, ftrack")
-		stream    = flag.Bool("stream", false, "decode via the streaming Gateway in fixed-size chunks (constant memory; cic/strawman only)")
-		chunk     = flag.Int("chunk", 65536, "samples per read in -stream mode")
+		chunk     = flag.Int("chunk", 65536, "samples per read")
 		sf        = flag.Int("sf", 8, "spreading factor")
 		bw        = flag.Float64("bw", 250e3, "bandwidth Hz")
 		osr       = flag.Int("osr", 4, "oversampling ratio of the capture")
@@ -94,34 +93,11 @@ func run() error {
 		src = f
 	}
 
-	if *stream {
-		err := streamDecode(cfg, src, *algo, *chunk, options)
-		if err == nil && *stats {
-			err = dumpStats(reg.Snapshot())
-		}
-		return err
+	err := streamDecode(cfg, src, *algo, *chunk, options)
+	if err == nil && *stats {
+		err = dumpStats(reg.Snapshot())
 	}
-
-	iq, err := cic.ReadCF32(src)
-	if err != nil {
-		return err
-	}
-	recv, err := cic.NewReceiver(cfg, options...)
-	if err != nil {
-		return err
-	}
-	pkts, err := recv.DecodeBuffer(iq)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%d packet(s) found by %s in %d samples\n", len(pkts), *algo, len(iq))
-	for i, p := range pkts {
-		printPacket(i, p)
-	}
-	if *stats {
-		return dumpStats(recv.Stats())
-	}
-	return nil
+	return err
 }
 
 // streamDecode pushes the capture through a cic.Gateway in fixed-size

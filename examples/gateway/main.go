@@ -34,7 +34,7 @@ func main() {
 	// The CIC receiver runs instrumented so the decode-stage totals can be
 	// reported after the comparison.
 	reg := obs.NewRegistry()
-	receivers, err := eval.DefaultReceivers(cfg.Frame, 0, obs.NewDecodeMetrics(reg))
+	receivers, err := eval.DefaultReceivers(cfg.Frame, 0, reg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,19 +8,24 @@ import (
 	"sync/atomic"
 	"time"
 
+	"cic/internal/baseline/choir"
+	"cic/internal/baseline/ftrack"
+	"cic/internal/baseline/stdlora"
 	"cic/internal/core"
+	"cic/internal/dsp"
 	"cic/internal/frame"
 	"cic/internal/obs"
 	"cic/internal/phy"
 	"cic/internal/rx"
 )
 
-// Gateway is a streaming CIC receiver: push raw IQ samples in arbitrary
-// chunks as they arrive from an SDR front end, and receive decoded packets
-// on a channel as soon as each transmission completes. This is the paper's
-// §6 deployment shape — a demodulator co-located with the radio or running
-// as a virtual gateway in the cloud — in contrast to the batch
-// Receiver.DecodeBuffer API.
+// Gateway is the decoder: push raw IQ samples in arbitrary chunks as they
+// arrive from an SDR front end, and receive decoded packets on a channel
+// as soon as each transmission completes. This is the paper's §6
+// deployment shape — a demodulator co-located with the radio or running
+// as a virtual gateway in the cloud. It is the only decode pipeline: a
+// Receiver's batch decode writes its whole source into a Gateway and
+// closes it.
 //
 //	gw, _ := cic.NewGateway(cfg, cic.WithWorkers(4))
 //	go func() {
@@ -34,38 +39,46 @@ import (
 //	gw.Close()
 //
 // Internally the gateway keeps a bounded ring of recent samples and scans
-// each newly arrived region for preambles incrementally. A packet that
-// starts at sample t is detected by the time t plus the detection horizon
-// (15.25 symbols) has been written, so a span of air can be decoded once
-// the horizon past its end is on air: every transmission that could
-// interfere with it is tracked by then, and the CIC boundary bookkeeping
-// is complete.
+// each newly arrived region for preambles incrementally, with the
+// algorithm's detector (CIC's down-chirp scan, or the conventional
+// up-chirp scan for the baselines). A packet that starts at sample t is
+// detected by the time t plus the scan's detection horizon has been
+// written (16.78 symbols for the down-chirp scan at SF8/OSR4, 21 for the
+// up-chirp scan), so a span of air can be decoded once the horizon past
+// its end is on air: every transmission that could interfere with it is
+// tracked by then, and the CIC boundary bookkeeping is complete.
 //
 // Dispatch runs in two stages, both on the ingest goroutine and both in
 // start (air-time) order. The header stage decodes a packet's 8 header
 // symbols once the horizon past them is on air; this fixes the packet's
-// length, which later packets' boundary bookkeeping reads, and assigns its
-// sequence number. The payload stage waits for the horizon past the
-// packet's real end, then snapshots its samples out of the ring with a
+// length, which later packets' boundary bookkeeping reads. The payload
+// stage waits for the horizon past the packet's real end, assigns its
+// sequence number, then snapshots its samples out of the ring with a
 // two-segment bulk copy and hands the expensive payload demodulation to a
-// pool of workers, each owning a private core.Demodulator. A short packet
+// pool of workers, each owning a private symbol picker. A short packet
 // therefore leaves shortly after it ends, not after a max-length airtime
-// budget. A reorder buffer delivers results on Packets() in sequence
-// order, so the output sequence is identical to a single-worker gateway.
+// budget. For AlgorithmLoRa the payload stage also applies the standard
+// gateway's single-demodulator capture lock: a packet that loses it is
+// never demodulated and emits nothing. A reorder buffer delivers results
+// on Packets() in sequence order, so the output sequence is identical to
+// a single-worker gateway.
 // Backpressure is bounded by the pool depth: when every worker is busy and
 // the job queue is full, Write blocks.
 //
 // Write, Close, Packets and BufferedSamples are all safe for concurrent
 // use (Write and Close serialise on an internal mutex).
 type Gateway struct {
-	cfg     Config
-	fcfg    frame.Config
-	det     *rx.Detector
-	hdrDM   *core.Demodulator // header demodulation on the ingest goroutine
+	cfg  Config
+	fcfg frame.Config
+	algo algoSpec
+	// scan is the algorithm's detector (see rx.Detector.ScanDownchirpRange).
+	scan    func(src rx.SampleSource, start, end int64, tracked []*rx.Packet) []*rx.Packet
+	hdrPick rx.SymbolPicker // header demodulation on the ingest goroutine
 	out     chan Packet
 	maxPkt  int64 // samples in a max-length packet
 	scanLag int64 // how far detection trails the newest sample
 	horizon int64 // samples past a packet's start by which it is detected
+	step    int64 // largest Write piece the ring can take before processing
 	workers int
 
 	// Ingest state, guarded by wmu (Write, Close and the flush path
@@ -77,11 +90,12 @@ type Gateway struct {
 	written   atomic.Int64 // absolute index one past the newest sample
 	scanned   int64        // scan frontier (exclusive)
 	pending   []*rx.Packet // detected, header not yet decoded
-	queued    []decodeJob  // header decoded, awaiting the payload stage (seq order)
+	queued    []decodeJob  // header decoded, awaiting the payload stage (start order)
 	hdrOthers []*rx.Packet // header-stage interferer scratch
 	active    []*rx.Packet // all tracked packets still relevant as interferers
+	lockedBy  *rx.Packet   // capture-lock holder (AlgorithmLoRa only)
 	maxIDSeq  int
-	seq       int64 // next sequence number, assigned at the header stage (reorder key)
+	seq       int64 // next sequence number, assigned at the payload stage (reorder key)
 
 	jobs        chan decodeJob
 	results     chan seqPacket
@@ -154,43 +168,67 @@ type seqPacket struct {
 // ErrGatewayClosed is returned by Write after Close.
 var ErrGatewayClosed = errors.New("cic: gateway closed")
 
-// NewGateway builds a streaming gateway. Options are as for NewReceiver;
-// only the CIC and strawman algorithms support streaming (the baselines
-// exist for offline comparison), and any option with no streaming effect
-// is rejected rather than silently ignored. WithWorkers sets the payload
-// decode pool size (default GOMAXPROCS).
+// algoSpec is what the Gateway runs for one algorithm: its detection scan,
+// its symbol picker, and whether the capture lock applies. Every picker
+// ranks alternates, so every payload gets the CRC-driven chase pass.
+type algoSpec struct {
+	upchirp     bool               // conventional up-chirp scan (else CIC's down-chirp scan)
+	detect      rx.DetectorOptions // the scan's tuning
+	picker      func(frame.Config, core.Options) (rx.AlternatePicker, error)
+	captureLock bool // the standard gateway's single-demodulator lock
+}
+
+var algorithms = map[Algorithm]algoSpec{
+	AlgorithmCIC: {picker: func(fc frame.Config, o core.Options) (rx.AlternatePicker, error) {
+		return core.NewDemodulator(fc, o)
+	}},
+	AlgorithmStrawman: {picker: func(fc frame.Config, o core.Options) (rx.AlternatePicker, error) {
+		o.Strawman = true
+		return core.NewDemodulator(fc, o)
+	}},
+	AlgorithmLoRa: {upchirp: true, captureLock: true, picker: func(fc frame.Config, _ core.Options) (rx.AlternatePicker, error) {
+		return stdlora.NewPicker(fc)
+	}},
+	AlgorithmChoir: {upchirp: true, picker: func(fc frame.Config, _ core.Options) (rx.AlternatePicker, error) {
+		return choir.NewPicker(fc, choir.Options{})
+	}},
+	// FTrack extracts multiple frequency tracks per window, so its preamble
+	// search tolerates a stronger concurrent peak.
+	AlgorithmFTrack: {upchirp: true, detect: rx.DetectorOptions{UpchirpTopK: 3}, picker: func(fc frame.Config, _ core.Options) (rx.AlternatePicker, error) {
+		return ftrack.NewPicker(fc, ftrack.Options{})
+	}},
+}
+
+// NewGateway builds a gateway. Options are as for NewReceiver; WithWorkers
+// sets the payload decode pool size (default GOMAXPROCS).
 func NewGateway(cfg Config, options ...Option) (*Gateway, error) {
 	fc, err := cfg.frameConfig()
 	if err != nil {
 		return nil, err
 	}
-	o := receiverOptions{algo: AlgorithmCIC}
-	for _, opt := range options {
-		opt(&o)
+	o, err := newOptions(options)
+	if err != nil {
+		return nil, err
 	}
-	if o.algo != AlgorithmCIC && o.algo != AlgorithmStrawman && o.algo != "" {
-		return nil, fmt.Errorf("cic: gateway streaming supports cic/strawman, not %q", o.algo)
-	}
-	if len(o.batchOnly) > 0 {
-		return nil, fmt.Errorf("cic: option %s has no effect on a streaming gateway", o.batchOnly[0])
-	}
+	spec := algorithms[o.algo]
 	workers := o.workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	dmx := obs.NewDecodeMetrics(o.metrics)
-	det, err := rx.NewDetector(fc, rx.DetectorOptions{Metrics: dmx})
+	detOpts := spec.detect
+	detOpts.Metrics = dmx
+	det, err := rx.NewDetector(fc, detOpts)
 	if err != nil {
 		return nil, err
 	}
 	coreOpts := core.Options{
-		Strawman:           o.algo == AlgorithmStrawman,
 		DisableSED:         o.disableSED,
 		DisableCFOFilter:   o.disableCFOFilter,
 		DisablePowerFilter: o.disablePowerFilter,
 		Metrics:            dmx,
 	}
-	hdrDM, err := core.NewDemodulator(fc, coreOpts)
+	hdrPick, err := spec.picker(fc, coreOpts)
 	if err != nil {
 		return nil, err
 	}
@@ -199,21 +237,18 @@ func NewGateway(cfg Config, options ...Option) (*Gateway, error) {
 	g := &Gateway{
 		cfg:     cfg,
 		fcfg:    fc,
-		det:     det,
-		hdrDM:   hdrDM,
+		algo:    spec,
+		scan:    det.ScanDownchirpRange,
+		hdrPick: hdrPick,
 		out:     make(chan Packet, 64),
 		maxPkt:  maxPkt,
-		scanLag: 2 * m,
-		// A packet's down-chirps end PreambleSampleCount past its start;
-		// the scan reaches them scanLag later, and one more symbol covers
-		// the scan's half-symbol grid and the refinement reads around the
-		// anchor. Every detection lands within this horizon (pinned by
-		// TestGatewayDetectionHorizon).
-		horizon: int64(fc.PreambleSampleCount()) + 3*m,
+		// Every scan window is buffered.
+		scanLag: m,
 		workers: workers,
 		// Ring must hold the longest packet plus detection lag plus a full
 		// scan region; triple the packet length is comfortably enough.
 		buf:         make([]complex128, 3*maxPkt),
+		scanned:     -m, // the first window starts a symbol early, as in a whole-span scan
 		jobs:        make(chan decodeJob, workers),
 		results:     make(chan seqPacket, workers),
 		reorderDone: make(chan struct{}),
@@ -224,21 +259,37 @@ func NewGateway(cfg Config, options ...Option) (*Gateway, error) {
 		panicHook:   o.panicHook,
 		flight:      o.flight,
 	}
+	if spec.upchirp {
+		// The up-chirp run's down-chirp search reads 6.5 symbols past
+		// the run's last window.
+		g.scan = det.ScanUpchirpRange
+		g.scanLag = 7 * m
+	}
+	// A packet's anchors lie on its down-chirps, at most 12 symbols past
+	// its start (the second down-chirp plus the half-symbol scan grid),
+	// and the detector resolves an anchor ResolveLag behind the newest
+	// sample. Every detection lands within this horizon (pinned by
+	// TestGatewayDetectionHorizon).
+	g.horizon = 12*m + det.ResolveLag(g.scanLag)
+	// A packet still waiting for either stage starts at most maxPkt+horizon
+	// before the newest sample, so a Write piece of this size never evicts
+	// samples a stage has yet to read.
+	g.step = int64(len(g.buf)) - maxPkt - g.horizon
 	if o.metrics != nil || o.tracer != nil {
 		g.detectedAt = make(map[int]time.Time)
 	}
 	// Snapshot buffers are sized on demand: a pooled buffer grows only
 	// when a longer packet needs it.
 	g.snapPool.New = func() any { return new([]complex128) }
-	dms := make([]*core.Demodulator, workers)
-	for w := range dms {
-		if dms[w], err = core.NewDemodulator(fc, coreOpts); err != nil {
+	pickers := make([]rx.AlternatePicker, workers)
+	for w := range pickers {
+		if pickers[w], err = spec.picker(fc, coreOpts); err != nil {
 			return nil, err
 		}
 	}
-	for _, dm := range dms {
+	for _, pk := range pickers {
 		g.workerWG.Add(1)
-		go g.worker(dm)
+		go g.worker(pk)
 	}
 	go func() {
 		g.reorder()
@@ -260,8 +311,11 @@ func (g *Gateway) BufferedSamples() int64 {
 func (g *Gateway) Workers() int { return g.workers }
 
 // Write appends IQ samples to the stream and processes whatever became
-// decodable. It may block when every decode worker is busy and the job
-// queue is full, or when the Packets channel is full (backpressure).
+// decodable. A write of any size decodes as the same samples written in
+// small chunks would: it is taken in ring-safe pieces, each processed
+// before the next. Write may block when every decode worker is busy and
+// the job queue is full, or when the Packets channel is full
+// (backpressure).
 func (g *Gateway) Write(iq []complex128) (int, error) {
 	g.wmu.Lock()
 	defer g.wmu.Unlock()
@@ -269,8 +323,12 @@ func (g *Gateway) Write(iq []complex128) (int, error) {
 		return 0, ErrGatewayClosed
 	}
 	g.m.SamplesIngested.Add(int64(len(iq)))
-	g.writeBulk(iq)
-	g.process(false) //cic:lock-ok: dispatch sends on g.jobs under wmu by design — the bounded queue is the documented backpressure contract, and Close (the only other wmu holder) drains it
+	for rest := iq; len(rest) > 0; {
+		n := min(int64(len(rest)), g.step)
+		g.writeBulk(rest[:n])
+		g.process(false) //cic:lock-ok: dispatch sends on g.jobs under wmu by design — the bounded queue is the documented backpressure contract, and Close (the only other wmu holder) drains it
+		rest = rest[n:]
+	}
 	return len(iq), nil
 }
 
@@ -293,19 +351,12 @@ func (g *Gateway) Close() error {
 	return nil
 }
 
-// writeBulk appends samples to the ring with at most two copy calls,
-// evicting the oldest samples when full. Caller holds wmu.
+// writeBulk appends samples (at most one ring's worth) to the ring with
+// at most two copy calls, evicting the oldest samples when full. Caller
+// holds wmu.
 func (g *Gateway) writeBulk(iq []complex128) {
 	n := int64(len(g.buf))
 	written := g.written.Load()
-	if int64(len(iq)) > n {
-		// Samples that would be evicted before they could ever be read:
-		// account for them without copying.
-		skip := int64(len(iq)) - n
-		g.m.SamplesDropped.Add(skip)
-		written += skip
-		iq = iq[skip:]
-	}
 	newWritten := written + int64(len(iq))
 	if base := g.base.Load(); newWritten-base > n {
 		g.base.Store(newWritten - n)
@@ -374,19 +425,14 @@ func (g *Gateway) process(flush bool) {
 	}
 	if scanTo > g.scanned {
 		t0 := g.m.DetectTime.Start()
-		found := g.det.ScanDownchirpRange(src, g.scanned, scanTo)
+		found := g.scan(src, g.scanned, scanTo, g.active)
 		g.m.DetectTime.Since(t0)
 		for _, p := range found {
-			if g.known(p) {
-				continue
-			}
 			g.maxIDSeq++
 			p.ID = g.maxIDSeq
 			p.NSymbols = phy.MaxSymbolCount(g.fcfg.PHY)
 			g.pending = append(g.pending, p)
 			g.active = append(g.active, p)
-			// Count preambles only after the known() dedup: incremental
-			// scans re-find tracked packets, and those are not detections.
 			g.m.PreamblesDetected.Inc()
 			if g.detectedAt != nil {
 				g.detectedAt[p.ID] = obs.Now()
@@ -405,8 +451,7 @@ func (g *Gateway) process(flush bool) {
 		g.scanned = scanTo
 	}
 
-	// Header stage, oldest start first: the sequence number assigned here
-	// keys the reorder buffer, so delivery order matches this order.
+	// Header stage, oldest start first.
 	for len(g.pending) > 0 {
 		idx := 0
 		for i, p := range g.pending {
@@ -422,17 +467,21 @@ func (g *Gateway) process(flush bool) {
 		g.queued = append(g.queued, g.decodeHeader(src, p))
 	}
 
-	// Payload stage, in sequence order: a packet waits for its real end
-	// (now known from its header); a header-failed one has nothing to wait
-	// for.
+	// Payload stage, in start order: a packet waits for its real end (now
+	// known from its header); a header-failed one has nothing to wait for,
+	// unless the capture lock must first see every packet that could
+	// steal its max-length span.
 	for len(g.queued) > 0 {
 		job := g.queued[0]
-		if !flush && !job.ready && job.pkt.End(g.fcfg)+g.horizon > written {
+		if !flush && (!job.ready || g.algo.captureLock) && job.pkt.End(g.fcfg)+g.horizon > written {
 			break
 		}
 		n := copy(g.queued, g.queued[1:])
 		g.queued[n] = decodeJob{}
 		g.queued = g.queued[:n]
+		if g.algo.captureLock && !g.holdsLock(job.pkt) {
+			continue
+		}
 		g.dispatch(job)
 	}
 
@@ -448,14 +497,33 @@ func (g *Gateway) process(flush bool) {
 	g.active = keep
 }
 
+// holdsLock applies the standard gateway's capture lock (the streaming
+// form of stdlora.CaptureFilter) to p, in start order: p takes the lock
+// unless it arrives during the holder's reception without being
+// CaptureMarginDB stronger, and keeps it unless a later packet starting
+// inside p's span is that much stronger than p. Every such packet is
+// tracked by the time p reaches the payload stage.
+func (g *Gateway) holdsLock(p *rx.Packet) bool {
+	margin := dsp.AmplitudeFromDB(stdlora.CaptureMarginDB)
+	if h := g.lockedBy; h != nil && p.Start < h.End(g.fcfg) && p.PeakAmp <= h.PeakAmp*margin {
+		return false // receiver busy: p is lost
+	}
+	g.lockedBy = p
+	for _, q := range g.active {
+		if q.Start > p.Start && q.Start < p.End(g.fcfg) && q.PeakAmp > p.PeakAmp*margin {
+			return false // a stronger packet steals the lock
+		}
+	}
+	return true
+}
+
 // decodeHeader runs the header stage for one packet on the ingest
-// goroutine: it assigns the sequence number, decodes the header block and
-// fixes the packet's length, which later packets' boundary bookkeeping
-// reads. The returned job waits in g.queued for the payload stage.
+// goroutine: it decodes the header block and fixes the packet's length,
+// which later packets' boundary bookkeeping reads. The returned job waits
+// in g.queued for the payload stage.
 func (g *Gateway) decodeHeader(src rx.SampleSource, p *rx.Packet) decodeJob {
 	t0 := g.m.DispatchTime.Start()
-	job := decodeJob{seq: g.seq, id: p.ID, pkt: p, result: Packet{Start: p.Start, SNR: p.SNRdB, CFO: p.CFOHz}}
-	g.seq++
+	job := decodeJob{id: p.ID, pkt: p, result: Packet{Start: p.Start, SNR: p.SNRdB, CFO: p.CFOHz}}
 	if g.detectedAt != nil {
 		job.detectedAt = g.detectedAt[p.ID]
 		delete(g.detectedAt, p.ID)
@@ -471,9 +539,11 @@ func (g *Gateway) decodeHeader(src rx.SampleSource, p *rx.Packet) decodeJob {
 	g.hdrOthers = others
 	syms := make([]uint16, 0, p.NSymbols)
 	for s := 0; s < phy.HeaderSymbolCount; s++ {
-		syms = append(syms, g.hdrDM.DemodulateSymbol(src, p, s, others))
+		syms = append(syms, g.hdrPick.PickSymbol(src, p, s, others))
 	}
-	job.gates = g.hdrDM.TakeGateTally()
+	if gt, ok := g.hdrPick.(rx.GateTallier); ok {
+		job.gates = gt.TakeGateTally()
+	}
 	if hdr, ok := rx.HeaderFromSymbols(syms, g.fcfg.PHY); ok {
 		pcfg := g.fcfg.PHY
 		pcfg.CR = hdr.CR
@@ -489,13 +559,15 @@ func (g *Gateway) decodeHeader(src rx.SampleSource, p *rx.Packet) decodeJob {
 	return job
 }
 
-// dispatch runs the payload stage for one header-decoded job: it
-// snapshots the packet's samples and interferer geometry out of the ring
-// and queues the payload for a pool worker (a header-failed job is
-// forwarded as is). The send blocks when the pool is saturated (bounded
-// backpressure).
+// dispatch runs the payload stage for one header-decoded job: it assigns
+// the sequence number, snapshots the packet's samples and interferer
+// geometry out of the ring and queues the payload for a pool worker (a
+// header-failed job is forwarded as is). The send blocks when the pool is
+// saturated (bounded backpressure).
 func (g *Gateway) dispatch(job decodeJob) {
 	t0 := g.m.DispatchTime.Start()
+	job.seq = g.seq
+	g.seq++
 	p := job.pkt
 	g.traceHeader(p, job.seq, !job.ready)
 	job.pkt = nil
@@ -566,28 +638,30 @@ func (g *Gateway) traceHeader(p *rx.Packet, seq int64, ok bool) {
 	})
 }
 
-// workerState is one pool worker's private arena: the demodulator plus
+// workerState is one pool worker's private arena: the symbol picker plus
 // the per-job scratch that the payload path reuses across packets. No
 // other goroutine touches it, so the steady-state decode loop performs no
 // cross-worker sharing and no per-symbol allocation.
 type workerState struct {
-	dm      *core.Demodulator
+	pick    rx.AlternatePicker
+	tally   rx.GateTallier  // pick's gate tally; nil when it keeps none
 	src     rx.MemorySource // per-job sample view (avoids a heap escape per packet)
 	altFlat []uint16        // backing store for all of one packet's ranked alternates
 	altIdx  [][]uint16      // per-symbol views into altFlat
 }
 
-// worker demodulates payloads from the job queue with a private
-// demodulator and forwards results to the reorder stage.
-func (g *Gateway) worker(dm *core.Demodulator) {
+// worker demodulates payloads from the job queue with a private picker
+// and forwards results to the reorder stage.
+func (g *Gateway) worker(pick rx.AlternatePicker) {
 	defer g.workerWG.Done()
 	// Alternate arenas are pre-sized for a typical payload (the caps are
 	// soft — a long packet grows them once and they stay grown).
 	ws := &workerState{
-		dm:      dm,
+		pick:    pick,
 		altFlat: make([]uint16, 0, 512),
 		altIdx:  make([][]uint16, 0, 128),
 	}
+	ws.tally, _ = pick.(rx.GateTallier)
 	for job := range g.jobs {
 		g.runJob(ws, job)
 	}
@@ -636,7 +710,9 @@ func (g *Gateway) runJob(ws *workerState, job decodeJob) {
 		t0 := g.m.DemodTime.Start()
 		pkt = g.decodePayload(ws, job)
 		g.m.DemodTime.Since(t0)
-		gates.Add(ws.dm.TakeGateTally())
+		if ws.tally != nil {
+			gates.Add(ws.tally.TakeGateTally())
+		}
 		nsyms = job.pkt.NSymbols
 		g.snapPool.Put(job.snapBuf)
 	}
@@ -656,10 +732,10 @@ func (g *Gateway) runJob(ws *workerState, job decodeJob) {
 	}
 }
 
-// decodePayload runs CIC payload demodulation for one dispatched packet,
-// including the pipeline's CRC-driven chase pass over ranked alternates.
-// The ranked alternates returned by the picker are its scratch, so they
-// are copied into the worker's flat arena before the next symbol.
+// decodePayload runs payload demodulation for one dispatched packet, with
+// the CRC-driven chase pass over the ranked alternates. Those are picker
+// scratch, so they are copied into the worker's flat arena before the
+// next symbol.
 //
 //cic:hotpath
 func (g *Gateway) decodePayload(ws *workerState, job decodeJob) Packet {
@@ -670,7 +746,7 @@ func (g *Gateway) decodePayload(ws *workerState, job decodeJob) Packet {
 	ws.altFlat = ws.altFlat[:0]
 	ws.altIdx = ws.altIdx[:0]
 	for s := phy.HeaderSymbolCount; s < job.pkt.NSymbols; s++ {
-		ranked := ws.dm.PickSymbolAlternates(src, job.pkt, s, job.others)
+		ranked := ws.pick.PickSymbolAlternates(src, job.pkt, s, job.others)
 		syms = append(syms, ranked[0])
 		start := len(ws.altFlat)
 		ws.altFlat = append(ws.altFlat, ranked...)
@@ -768,21 +844,6 @@ func (g *Gateway) emit(r seqPacket) {
 // overlaps reports whether q's span [Start, End) intersects p's.
 func overlaps(cfg frame.Config, p, q *rx.Packet) bool {
 	return q.Start < p.End(cfg) && q.End(cfg) > p.Start
-}
-
-// known reports whether a detection duplicates a tracked packet.
-func (g *Gateway) known(p *rx.Packet) bool {
-	m := int64(g.fcfg.Chirp.SamplesPerSymbol())
-	for _, q := range g.active {
-		d := p.Start - q.Start
-		if d < 0 {
-			d = -d
-		}
-		if d < m/2 {
-			return true
-		}
-	}
-	return false
 }
 
 // Config returns the gateway's configuration.

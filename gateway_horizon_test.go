@@ -2,7 +2,6 @@ package cic
 
 import (
 	"bytes"
-	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -12,36 +11,50 @@ import (
 
 // TestGatewayDetectionHorizon pins the invariant both dispatch stages rely
 // on: a packet starting at sample t is detected before the gateway has
-// been written past t+horizon. Dense D1 traffic is fed in quarter-symbol
-// chunks (so detection is observed at fine granularity) and every detect
-// event must arrive in a Write that began short of that mark. If the
-// detector ever needs longer, a stage could dispatch before an overlapping
-// interferer is tracked, and this test fails. An SF12 packet lasts about
-// 0.9 s, so at this rate nearly every SF12 preamble is buried and the SF12
-// case checks the few that are detected.
+// been written past t+horizon, for the down-chirp scan and for the
+// baselines' up-chirp scan (each has its own horizon). D1 traffic is fed
+// in quarter-symbol chunks (so detection is observed at fine granularity)
+// and every detect event must arrive in a Write that began short of that
+// mark. If the detector ever needs longer, a stage could dispatch before
+// an overlapping interferer is tracked, and this test fails. An SF12
+// packet lasts about 0.9 s, so at this rate nearly every SF12 preamble is
+// buried and the SF12 case checks the few that are detected.
 func TestGatewayDetectionHorizon(t *testing.T) {
 	for _, tc := range []struct {
+		name      string
+		algo      Algorithm
 		sf        int
+		rate      float64
 		seconds   float64
 		minDetect int
-	}{{7, 0.3, 15}, {8, 0.3, 15}, {12, 0.2, 1}} {
-		t.Run(fmt.Sprintf("SF%d", tc.sf), func(t *testing.T) {
-			testDetectionHorizon(t, tc.sf, tc.seconds, tc.minDetect)
+	}{
+		{"SF7", AlgorithmCIC, 7, 100, 0.3, 15},
+		{"SF8", AlgorithmCIC, 8, 100, 0.3, 15},
+		{"SF12", AlgorithmCIC, 12, 100, 0.2, 1},
+		{"SF8-lora", AlgorithmLoRa, 8, 40, 0.5, 5},
+		{"SF8-ftrack", AlgorithmFTrack, 8, 40, 0.5, 8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			testDetectionHorizon(t, tc.algo, tc.sf, tc.rate, tc.seconds, tc.minDetect)
 		})
 	}
 }
 
-func testDetectionHorizon(t *testing.T, sf int, seconds float64, minDetect int) {
+func testDetectionHorizon(t *testing.T, algo Algorithm, sf int, rate, seconds float64, minDetect int) {
 	cfg := DefaultConfig()
 	cfg.SpreadingFactor = sf
 	var written int64 // samples written before the current Write
 	var detections int
+	var maxLate int64
 	var gw *Gateway
-	gw, err := NewGateway(cfg, WithWorkers(2), WithTracer(func(ev Event) {
+	gw, err := NewGateway(cfg, WithAlgorithm(algo), WithWorkers(2), WithTracer(func(ev Event) {
 		if ev.Kind != EventDetect {
 			return
 		}
 		detections++
+		if d := written - ev.Start; d > maxLate {
+			maxLate = d
+		}
 		if written >= ev.Start+gw.horizon {
 			t.Errorf("SF%d: packet at %d detected after %d samples were written, horizon ends at %d",
 				sf, ev.Start, written, ev.Start+gw.horizon)
@@ -54,7 +67,7 @@ func testDetectionHorizon(t *testing.T, sf int, seconds float64, minDetect int) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := nw.BuildRun(100, seconds, 28, 1)
+	run, err := nw.BuildRun(rate, seconds, 28, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +97,7 @@ func testDetectionHorizon(t *testing.T, sf int, seconds float64, minDetect int) 
 		t.Errorf("SF%d: %d detections for %d packets, want >= %d (horizon not exercised)",
 			sf, detections, len(run.Truth), minDetect)
 	}
-	t.Logf("SF%d: %d packets on air, %d detections within the horizon", sf, len(run.Truth), detections)
+	t.Logf("SF%d: %d packets on air, %d detections within the horizon (latest %.2f of %.2f symbols)", sf, len(run.Truth), detections, float64(maxLate)/float64(cfg.SamplesPerSymbol()), float64(gw.horizon)/float64(cfg.SamplesPerSymbol()))
 }
 
 // TestGatewayEmitsBeforeMaxLengthBudget: a short packet must be delivered

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
 	"cic"
+	"cic/internal/eval"
+	"cic/internal/sim"
 )
 
 // streamTrace builds a three-packet collision trace plus a quiet tail long
@@ -58,49 +61,117 @@ func streamThrough(t testing.TB, cfg cic.Config, iq []complex128, rng *rand.Rand
 	return <-done
 }
 
-// TestGatewayStreamBatchParity: the same collision trace pushed through the
-// Gateway in random-sized chunks must yield the same payload set and order
-// as Receiver.DecodeBuffer, at any worker count.
-func TestGatewayStreamBatchParity(t *testing.T) {
-	cfg := cic.DefaultConfig()
-	cfg.CodingRate = 3 // tolerate a marginal ±1-bin slip, as the batch tests do
-	iq, _ := streamTrace(t, cfg)
+// simTrace renders samples [from, to) of a cic-gen traffic capture
+// (deployment, rate pkts/s, seconds, seed; 28-byte payloads), rounded to
+// the capture's float32 precision.
+func simTrace(t testing.TB, dep sim.Deployment, rate, seconds float64, seed, from, to int64) []complex128 {
+	t.Helper()
+	nw, err := sim.NewNetwork(eval.DefaultConfig().Frame, dep, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := nw.BuildRun(rate, seconds, 28, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, end := run.Source.Span(); to > end {
+		to = end
+	}
+	iq := make([]complex128, to-from)
+	run.Source.Read(iq, from)
+	for i, v := range iq {
+		iq[i] = complex128(complex64(v))
+	}
+	return iq
+}
 
-	recv, err := cic.NewReceiver(cfg)
+// decodeInChunks writes iq into a fresh gateway chunk samples at a time
+// (chunk <= 0: one Write) and returns everything it delivers.
+func decodeInChunks(t testing.TB, iq []complex128, chunk int, options ...cic.Option) []cic.Packet {
+	t.Helper()
+	gw, err := cic.NewGateway(cic.DefaultConfig(), options...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := recv.DecodeBuffer(iq)
+	done := collectPackets(gw)
+	if chunk <= 0 {
+		chunk = len(iq)
+	}
+	for off := 0; off < len(iq); off += chunk {
+		if _, err := gw.Write(iq[off:min(off+chunk, len(iq))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := gw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return <-done
+}
+
+// TestGatewayChunkIdentity: a whole-buffer Write, 65536-sample chunks and
+// 1000-sample chunks decode to identical records. The CIC trace is the
+// tail of cic-gen D3 (rate 60, 4 s, seed 1) where detection used to depend
+// on the chunking (a lossy within-call duplicate skip found one packet
+// fewer in large chunks); CIC runs it at 1 and 2 workers. The LoRa and
+// FTrack baselines, whose up-chirp scan carries its run history across
+// Writes, run a D1 second at 2 workers.
+func TestGatewayChunkIdentity(t *testing.T) {
+	d3 := simTrace(t, sim.D3, 60, 4, 1, 3930000, 4061696)
+	d1 := simTrace(t, sim.D1, 40, 0.5, 3, 0, 500000)
+	for _, tc := range []struct {
+		algo    cic.Algorithm
+		workers int
+		iq      []complex128
+	}{
+		{cic.AlgorithmCIC, 1, d3}, {cic.AlgorithmCIC, 2, d3},
+		{cic.AlgorithmLoRa, 2, d1}, {cic.AlgorithmFTrack, 2, d1},
+	} {
+		opts := []cic.Option{cic.WithAlgorithm(tc.algo), cic.WithWorkers(tc.workers)}
+		want := decodeInChunks(t, tc.iq, 0, opts...)
+		if len(want) < 4 {
+			t.Fatalf("%s: only %d records", tc.algo, len(want))
+		}
+		for i := 1; i < len(want); i++ {
+			if want[i].Start < want[i-1].Start {
+				t.Errorf("%s: records out of start order at %d", tc.algo, i)
+			}
+		}
+		for _, chunk := range []int{65536, 1000} {
+			if got := decodeInChunks(t, tc.iq, chunk, opts...); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s workers=%d chunk=%d: %d records differ from the whole-buffer Write's %d:\n%+v\nwant\n%+v",
+					tc.algo, tc.workers, chunk, len(got), len(want), got, want)
+			}
+		}
+		t.Logf("%s workers=%d: %d records", tc.algo, tc.workers, len(want))
+	}
+}
+
+// TestGatewayLargeWriteMatchesChunks: one Write longer than the ring
+// decodes exactly as 65536-sample chunks do. The Write is taken in
+// ring-safe pieces, so no pending packet's samples are evicted before it
+// is decoded.
+func TestGatewayLargeWriteMatchesChunks(t *testing.T) {
+	iq := simTrace(t, sim.D1, 15, 1.4, 2, 0, 1400000)
+	gw, err := cic.NewGateway(cic.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want [][]byte
-	for _, p := range batch {
+	gw.Close()
+	if ring := 3 * gw.MaxPacketSamples(); int64(len(iq)) <= ring {
+		t.Fatalf("trace of %d samples fits the %d-sample ring", len(iq), ring)
+	}
+	want := decodeInChunks(t, iq, 65536, cic.WithWorkers(2))
+	ok := 0
+	for _, p := range want {
 		if p.OK {
-			want = append(want, p.Payload)
+			ok++
 		}
 	}
-	if len(want) != 3 {
-		t.Fatalf("batch receiver decoded %d/3 packets", len(want))
+	if ok < 10 {
+		t.Fatalf("only %d of %d records decoded", ok, len(want))
 	}
-
-	for _, workers := range []int{1, 4} {
-		rng := rand.New(rand.NewSource(7))
-		all := streamThrough(t, cfg, iq, rng, cic.WithWorkers(workers))
-		var got [][]byte
-		for _, p := range all {
-			if p.OK {
-				got = append(got, p.Payload)
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: gateway decoded %d packets, batch %d", workers, len(got), len(want))
-		}
-		for i := range want {
-			if !bytes.Equal(got[i], want[i]) {
-				t.Errorf("workers=%d: packet %d payload %q, batch %q", workers, i, got[i], want[i])
-			}
-		}
+	if got := decodeInChunks(t, iq, 0, cic.WithWorkers(2)); !reflect.DeepEqual(got, want) {
+		t.Errorf("one Write: %+v\nwant %+v", got, want)
 	}
 }
 

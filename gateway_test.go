@@ -138,12 +138,19 @@ func TestGatewayWriteAfterClose(t *testing.T) {
 	}
 }
 
-func TestGatewayRejectsBatchOnlyAlgorithms(t *testing.T) {
-	if _, err := cic.NewGateway(cic.DefaultConfig(), cic.WithAlgorithm(cic.AlgorithmFTrack)); err == nil {
-		t.Error("gateway accepted a batch-only algorithm")
+// TestGatewayAcceptsEveryAlgorithm: the gateway is the only decoder, so it
+// runs every algorithm and rejects only unknown ones.
+func TestGatewayAcceptsEveryAlgorithm(t *testing.T) {
+	for _, algo := range cic.Algorithms() {
+		gw, err := cic.NewGateway(cic.DefaultConfig(), cic.WithAlgorithm(algo))
+		if err != nil {
+			t.Errorf("%s gateway rejected: %v", algo, err)
+			continue
+		}
+		gw.Close()
 	}
-	if _, err := cic.NewGateway(cic.DefaultConfig(), cic.WithAlgorithm(cic.AlgorithmStrawman)); err != nil {
-		t.Errorf("strawman gateway rejected: %v", err)
+	if _, err := cic.NewGateway(cic.DefaultConfig(), cic.WithAlgorithm("nope")); err == nil {
+		t.Error("gateway accepted an unknown algorithm")
 	}
 }
 

@@ -1,6 +1,7 @@
-// Package baseline_test exercises the three prior-work receivers against
-// the same synthetic airs used for CIC, checking both their success cases
-// (clean packets) and the comparative failure behaviours the paper reports.
+// Package baseline_test exercises the three prior-work receivers — the
+// baseline pickers run by cic.Gateway — against the same synthetic airs
+// used for CIC, checking both their success cases (clean packets) and the
+// comparative failure behaviours the paper reports.
 package baseline_test
 
 import (
@@ -8,15 +9,14 @@ import (
 	"math/rand"
 	"testing"
 
-	"cic/internal/baseline/choir"
-	"cic/internal/baseline/ftrack"
+	"cic"
 	"cic/internal/baseline/stdlora"
 	"cic/internal/channel"
 	"cic/internal/chirp"
-	"cic/internal/core"
 	"cic/internal/frame"
 	"cic/internal/phy"
 	"cic/internal/rx"
+	"cic/internal/sim"
 )
 
 func testCfg() frame.Config {
@@ -51,30 +51,35 @@ func air(t *testing.T, cfg frame.Config, offsets []int64, snrs, cfos []float64, 
 	return rx.SourceFromRenderer(channel.NewRenderer(ems, cfg.Chirp.OSR, seed))
 }
 
-type receiver interface {
-	Name() string
-	Receive(rx.SampleSource) ([]rx.Decoded, error)
+// receiver decodes with one algorithm through the public cic.Receiver,
+// at testCfg's geometry (cic.DefaultConfig).
+type receiver struct{ r *cic.Receiver }
+
+func newReceiver(t *testing.T, algo cic.Algorithm) receiver {
+	t.Helper()
+	r, err := cic.NewReceiver(cic.DefaultConfig(), cic.WithAlgorithm(algo), cic.WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return receiver{r}
 }
 
-func receivers(t *testing.T, cfg frame.Config) []receiver {
-	t.Helper()
-	std, err := stdlora.New(cfg, rx.DetectorOptions{}, 2)
-	if err != nil {
-		t.Fatal(err)
+func (r receiver) Name() string { return string(r.r.Algorithm()) }
+
+func (r receiver) Receive(src rx.SampleSource) ([]cic.Packet, error) {
+	return r.r.DecodeSource(src)
+}
+
+func receivers(t *testing.T) []receiver {
+	return []receiver{
+		newReceiver(t, cic.AlgorithmLoRa),
+		newReceiver(t, cic.AlgorithmChoir),
+		newReceiver(t, cic.AlgorithmFTrack),
 	}
-	ch, err := choir.New(cfg, choir.Options{}, rx.DetectorOptions{}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ft, err := ftrack.New(cfg, ftrack.Options{}, rx.DetectorOptions{}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return []receiver{std, ch, ft}
 }
 
 func TestNames(t *testing.T) {
-	for _, r := range receivers(t, testCfg()) {
+	for _, r := range receivers(t) {
 		if r.Name() == "" {
 			t.Error("empty receiver name")
 		}
@@ -87,12 +92,12 @@ func TestAllReceiversDecodeCleanPacket(t *testing.T) {
 	cfg := testCfg()
 	payload := []byte("a clean, collision-free packet")
 	src := air(t, cfg, []int64{0}, []float64{25}, []float64{1800}, [][]byte{payload}, 1)
-	for _, r := range receivers(t, cfg) {
+	for _, r := range receivers(t) {
 		results, err := r.Receive(src)
 		if err != nil {
 			t.Fatalf("%s: %v", r.Name(), err)
 		}
-		if len(results) != 1 || !results[0].OK() || !bytes.Equal(results[0].Payload, payload) {
+		if len(results) != 1 || !results[0].OK || !bytes.Equal(results[0].Payload, payload) {
 			t.Errorf("%s failed on a clean packet (%d results)", r.Name(), len(results))
 		}
 	}
@@ -139,21 +144,17 @@ func TestCollisionComparison(t *testing.T) {
 			[]float64{2100, -3300},
 			[][]byte{p1, p2}, 3)
 	}
-	okCount := func(results []rx.Decoded) int {
+	okCount := func(results []cic.Packet) int {
 		n := 0
 		for _, res := range results {
-			if res.OK() && (bytes.Equal(res.Payload, p1) || bytes.Equal(res.Payload, p2)) {
+			if res.OK && (bytes.Equal(res.Payload, p1) || bytes.Equal(res.Payload, p2)) {
 				n++
 			}
 		}
 		return n
 	}
 
-	cicRecv, err := core.NewReceiver(cfg, core.Options{}, rx.DetectorOptions{}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cicResults, err := cicRecv.Receive(build())
+	cicResults, err := newReceiver(t, cic.AlgorithmCIC).Receive(build())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestCollisionComparison(t *testing.T) {
 		t.Errorf("CIC decoded %d of 2", cicOK)
 	}
 
-	for _, r := range receivers(t, cfg) {
+	for _, r := range receivers(t) {
 		results, err := r.Receive(build())
 		if err != nil {
 			t.Fatalf("%s: %v", r.Name(), err)
@@ -171,7 +172,7 @@ func TestCollisionComparison(t *testing.T) {
 		if n > cicOK {
 			t.Errorf("%s decoded %d > CIC's %d", r.Name(), n, cicOK)
 		}
-		if r.Name() == "LoRa" && n > 1 {
+		if r.Name() == string(cic.AlgorithmLoRa) && n > 1 {
 			t.Errorf("standard LoRa decoded %d packets of an overlapping pair", n)
 		}
 	}
@@ -196,23 +197,21 @@ func TestFTrackLowSNRDegrades(t *testing.T) {
 				[]float64{1500, -2500},
 				[][]byte{p1, p2}, seed)
 		}
-		ft, _ := ftrack.New(cfg, ftrack.Options{}, rx.DetectorOptions{}, 2)
-		ftRes, err := ft.Receive(build())
+		ftRes, err := newReceiver(t, cic.AlgorithmFTrack).Receive(build())
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, res := range ftRes {
-			if res.OK() {
+			if res.OK {
 				ftOK++
 			}
 		}
-		cic, _ := core.NewReceiver(cfg, core.Options{}, rx.DetectorOptions{}, 2)
-		cicRes, err := cic.Receive(build())
+		cicRes, err := newReceiver(t, cic.AlgorithmCIC).Receive(build())
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, res := range cicRes {
-			if res.OK() {
+			if res.OK {
 				cicOK++
 			}
 		}
@@ -232,4 +231,77 @@ func TestFTrackLowSNRDegrades(t *testing.T) {
 	if ftTotal > cicTotal+1 {
 		t.Errorf("at 0 dB SNR FTrack decoded %d > CIC %d over 5 runs", ftTotal, cicTotal)
 	}
+}
+
+// TestCaptureLockMatchesCaptureFilter: the Gateway's streaming capture
+// lock keeps exactly the packets stdlora.CaptureFilter keeps when it is
+// handed the whole-span up-chirp detections with their header-derived
+// lengths. Dense D1 traffic makes the lock refuse packets; a weak packet
+// overtaken 15 dB louder mid-air makes it steal.
+func TestCaptureLockMatchesCaptureFilter(t *testing.T) {
+	cfg := testCfg()
+	m := int64(cfg.Chirp.SamplesPerSymbol())
+	nw, err := sim.NewNetwork(cfg, sim.D1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := nw.BuildRun(60, 2, 16, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept, detected := captureLockMatches(t, run.Source)
+	if kept == detected || kept < 5 {
+		t.Errorf("dense D1: lock not exercised: %d kept of %d detected", kept, detected)
+	}
+	weak, strong := []byte("weak packet, overtaken"), []byte("strong packet, steals")
+	steal := air(t, cfg, []int64{0, 30*m + 311}, []float64{8, 23}, []float64{1200, -2700}, [][]byte{weak, strong}, 5)
+	if kept, detected := captureLockMatches(t, steal); kept != 1 || detected != 2 {
+		t.Errorf("steal: %d kept of %d detected, want 1 of 2", kept, detected)
+	}
+}
+
+// captureLockMatches compares the LoRa gateway's output starts on src
+// with stdlora.CaptureFilter's and returns how many packets the filter
+// kept of how many the up-chirp scan detected.
+func captureLockMatches(t *testing.T, src rx.SampleSource) (kept, detected int) {
+	t.Helper()
+	cfg := testCfg()
+	det, err := rx.NewDetector(cfg, rx.DetectorOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	picker, err := stdlora.NewPicker(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkts := det.ScanUpchirp(src)
+	for _, p := range pkts {
+		syms := make([]uint16, phy.HeaderSymbolCount)
+		for s := range syms {
+			syms[s] = picker.PickSymbol(src, p, s, nil)
+		}
+		p.NSymbols = phy.MaxSymbolCount(cfg.PHY)
+		if hdr, ok := rx.HeaderFromSymbols(syms, cfg.PHY); ok {
+			pcfg := cfg.PHY
+			pcfg.CR, pcfg.HasCRC = hdr.CR, hdr.HasCRC
+			p.NSymbols = phy.SymbolCount(pcfg, int(hdr.Length))
+		}
+	}
+	var want []int64
+	for _, p := range stdlora.CaptureFilter(cfg, pkts) {
+		want = append(want, p.Start)
+	}
+	got, err := newReceiver(t, cic.AlgorithmLoRa).Receive(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("gateway kept %d packets, CaptureFilter %d (of %d detected)", len(got), len(want), len(pkts))
+	}
+	for i, p := range got {
+		if p.Start != want[i] {
+			t.Errorf("packet %d: gateway kept start %d, CaptureFilter %d", i, p.Start, want[i])
+		}
+	}
+	return len(want), len(pkts)
 }

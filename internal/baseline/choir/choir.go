@@ -33,45 +33,6 @@ func (o *Options) setDefaults() {
 	}
 }
 
-// Receiver is the Choir baseline.
-type Receiver struct {
-	cfg     frame.Config
-	detOpts rx.DetectorOptions
-	pl      *rx.Pipeline
-}
-
-// New builds the Choir receiver. workers <= 0 selects GOMAXPROCS.
-func New(cfg frame.Config, opts Options, detOpts rx.DetectorOptions, workers int) (*Receiver, error) {
-	opts.setDefaults()
-	pl, err := rx.NewPipeline(cfg, func() (rx.SymbolPicker, error) {
-		return NewPicker(cfg, opts)
-	}, workers)
-	if err != nil {
-		return nil, err
-	}
-	return &Receiver{cfg: cfg, detOpts: detOpts, pl: pl}, nil
-}
-
-// Name identifies the receiver in evaluation output.
-func (r *Receiver) Name() string { return "Choir" }
-
-// Receive detects packets with the conventional up-chirp scan (the paper
-// notes Choir does not describe its own detection, so standard detection is
-// assumed) and decodes all of them concurrently by CFO matching.
-func (r *Receiver) Receive(src rx.SampleSource) ([]rx.Decoded, error) {
-	det, err := rx.NewDetector(r.cfg, r.detOpts)
-	if err != nil {
-		return nil, err
-	}
-	pkts := det.ScanUpchirp(src)
-	return r.DecodeAll(src, pkts)
-}
-
-// DecodeAll decodes an existing detection set.
-func (r *Receiver) DecodeAll(src rx.SampleSource, pkts []*rx.Packet) ([]rx.Decoded, error) {
-	return r.pl.DecodeAll(src, pkts)
-}
-
 // Picker assigns each symbol the candidate peak whose fractional frequency
 // offset best matches the packet's CFO. After the de-chirp removes the
 // packet's own CFO, the wanted peak sits on (or nearest to) the integer bin

@@ -55,49 +55,6 @@ func (o *Options) setDefaults() {
 	}
 }
 
-// Receiver is the FTrack baseline.
-type Receiver struct {
-	cfg     frame.Config
-	detOpts rx.DetectorOptions
-	pl      *rx.Pipeline
-}
-
-// New builds the FTrack receiver. workers <= 0 selects GOMAXPROCS.
-func New(cfg frame.Config, opts Options, detOpts rx.DetectorOptions, workers int) (*Receiver, error) {
-	opts.setDefaults()
-	if detOpts.UpchirpTopK == 0 {
-		// FTrack extracts multiple frequency tracks per window, so its
-		// preamble search tolerates a stronger concurrent peak.
-		detOpts.UpchirpTopK = 3
-	}
-	pl, err := rx.NewPipeline(cfg, func() (rx.SymbolPicker, error) {
-		return NewPicker(cfg, opts)
-	}, workers)
-	if err != nil {
-		return nil, err
-	}
-	return &Receiver{cfg: cfg, detOpts: detOpts, pl: pl}, nil
-}
-
-// Name identifies the receiver in evaluation output.
-func (r *Receiver) Name() string { return "FTrack" }
-
-// Receive detects packets with the conventional up-chirp scan and decodes
-// all of them concurrently by track matching.
-func (r *Receiver) Receive(src rx.SampleSource) ([]rx.Decoded, error) {
-	det, err := rx.NewDetector(r.cfg, r.detOpts)
-	if err != nil {
-		return nil, err
-	}
-	pkts := det.ScanUpchirp(src)
-	return r.DecodeAll(src, pkts)
-}
-
-// DecodeAll decodes an existing detection set.
-func (r *Receiver) DecodeAll(src rx.SampleSource, pkts []*rx.Packet) ([]rx.Decoded, error) {
-	return r.pl.DecodeAll(src, pkts)
-}
-
 // Picker selects, among the full-window spectral peaks, the one whose
 // track spans every sub-window of the symbol.
 type Picker struct {

@@ -1,9 +1,10 @@
-// Package stdlora implements the standard single-packet LoRa receiver used
-// as the paper's baseline: conventional up-chirp preamble detection, a
-// one-packet-at-a-time lock with capture behaviour, and plain
-// argmax-of-the-folded-spectrum demodulation. Under collisions it decodes
-// whichever transmission captures the radio and loses the rest — the
-// behaviour Figs 28–31 quantify.
+// Package stdlora holds the pieces of the standard single-packet LoRa
+// receiver used as the paper's baseline: a one-packet-at-a-time lock with
+// capture behaviour, and plain argmax-of-the-folded-spectrum
+// demodulation. cic.Gateway runs them behind conventional up-chirp
+// preamble detection. Under collisions the receiver decodes whichever
+// transmission captures the radio and loses the rest — the behaviour
+// Figs 28–31 quantify.
 package stdlora
 
 import (
@@ -16,62 +17,6 @@ import (
 // the lock from the packet currently being received, mimicking the capture
 // effect of commercial transceivers.
 const CaptureMarginDB = 6
-
-// Receiver is the standard LoRa gateway baseline.
-type Receiver struct {
-	cfg     frame.Config
-	detOpts rx.DetectorOptions
-	pl      *rx.Pipeline
-}
-
-// New builds the baseline receiver. workers <= 0 selects GOMAXPROCS.
-func New(cfg frame.Config, detOpts rx.DetectorOptions, workers int) (*Receiver, error) {
-	pl, err := rx.NewPipeline(cfg, func() (rx.SymbolPicker, error) {
-		return NewPicker(cfg)
-	}, workers)
-	if err != nil {
-		return nil, err
-	}
-	return &Receiver{cfg: cfg, detOpts: detOpts, pl: pl}, nil
-}
-
-// Name identifies the receiver in evaluation output.
-func (r *Receiver) Name() string { return "LoRa" }
-
-// Receive detects packets with the conventional up-chirp scan, applies the
-// single-receiver lock with capture, and decodes the survivors.
-func (r *Receiver) Receive(src rx.SampleSource) ([]rx.Decoded, error) {
-	det, err := rx.NewDetector(r.cfg, r.detOpts)
-	if err != nil {
-		return nil, err
-	}
-	pkts := det.ScanUpchirp(src)
-	return r.DecodeAll(src, pkts)
-}
-
-// DecodeAll decodes the detection set, then applies the capture lock using
-// the header-derived packet lengths (a real gateway knows a packet's
-// airtime once its header arrives, and holds the lock that long). The
-// argmax picker is interference-blind, so decoding before filtering yields
-// the same per-packet symbols a locked receiver would see.
-func (r *Receiver) DecodeAll(src rx.SampleSource, pkts []*rx.Packet) ([]rx.Decoded, error) {
-	results, err := r.pl.DecodeAll(src, pkts)
-	if err != nil {
-		return nil, err
-	}
-	locked := CaptureFilter(r.cfg, pkts)
-	keep := make(map[*rx.Packet]bool, len(locked))
-	for _, p := range locked {
-		keep[p] = true
-	}
-	out := results[:0]
-	for _, res := range results {
-		if keep[res.Packet] {
-			out = append(out, res)
-		}
-	}
-	return out, nil
-}
 
 // CaptureFilter models the standard gateway's single demodulator: packets
 // are taken in arrival order; a packet arriving while another is being

@@ -93,9 +93,9 @@ func NewDemodulator(cfg frame.Config, opts Options) (*Demodulator, error) {
 func (dm *Demodulator) Options() Options { return dm.opts }
 
 // TakeGateTally returns the gate verdicts accumulated since the previous
-// call and resets the tally. Callers decoding one packet per demodulator
-// pass (the gateway workers, the batch pipeline) use it to attribute gate
-// activity to individual packets.
+// call and resets the tally. The gateway, which decodes one packet per
+// demodulator pass, uses it to attribute gate activity to individual
+// packets.
 func (dm *Demodulator) TakeGateTally() obs.GateCounts {
 	t := dm.tally
 	dm.tally = obs.GateCounts{}
@@ -783,13 +783,7 @@ func (dm *Demodulator) selectBySED(cands []Candidate) Candidate {
 	nBins := dm.cfg.Chirp.ChipCount()
 	for i := range cands {
 		lh, rh := dm.sedEdges(cands[i].Value(nBins))
-		sed := math.Abs(rh - lh)
-		if dm.opts.RelativeSED {
-			if tot := rh + lh; tot > 0 {
-				sed /= tot
-			}
-		}
-		cands[i].SED = sed
+		cands[i].SED = math.Abs(rh - lh)
 		cands[i].Score = dm.candidateScore(cands[i], lh, rh)
 		if cands[i].Score < bestScore {
 			bestScore = cands[i].Score

@@ -143,7 +143,6 @@ func TestDemodulatorAllocFree(t *testing.T) {
 		{"default", Options{}},
 		{"strawman", Options{Strawman: true}},
 		{"no-sed", Options{DisableSED: true}},
-		{"relative-sed", Options{RelativeSED: true}},
 	} {
 		dm, err := NewDemodulator(cfg, v.opts)
 		if err != nil {

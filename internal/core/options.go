@@ -28,10 +28,6 @@ type Options struct {
 	// SEDWindows is the number of sliding half-symbol windows per edge
 	// (paper: 10).
 	SEDWindows int
-	// RelativeSED normalises each candidate's edge difference by its total
-	// edge energy before comparing — an extension beyond the paper that
-	// helps when candidate powers differ wildly; off by default.
-	RelativeSED bool
 
 	// DisableCFOFilter turns off the fractional-CFO candidate gate (§5.7).
 	DisableCFOFilter bool
@@ -70,9 +66,6 @@ type Options struct {
 	// setDefaults substitutes the shared no-op set so the hot path is a
 	// single nil-field test per operation.
 	Metrics *obs.DecodeMetrics
-	// Tracer receives structured per-packet decode events from the
-	// pipeline driving this demodulator. Nil disables tracing.
-	Tracer obs.Tracer
 }
 
 func (o *Options) setDefaults() {

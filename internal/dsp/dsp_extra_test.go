@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -182,6 +183,33 @@ func TestFindPeaksEmptyAndSingle(t *testing.T) {
 func TestTopPeaksZeroSpectrum(t *testing.T) {
 	if p := TopPeaks(make(Spectrum, 8), 0.5, 3); p != nil {
 		t.Error("zero spectrum produced peaks")
+	}
+}
+
+// TestNoiseFloorMatchesSortedMedian: the quickselect median equals the
+// sorted-slice median exactly, for odd and even lengths, ties and runs of
+// equal values (a silent window's all-zero spectrum).
+func TestNoiseFloorMatchesSortedMedian(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for n := 1; n <= 300; n++ {
+		s := make(Spectrum, n)
+		for i := range s {
+			switch n % 3 {
+			case 0:
+				s[i] = rng.ExpFloat64()
+			case 1:
+				s[i] = float64(rng.Intn(4)) // heavy ties
+			}
+		}
+		sorted := append([]float64(nil), s...)
+		sort.Float64s(sorted)
+		want := sorted[n/2]
+		if n%2 == 0 {
+			want = 0.5 * (sorted[n/2-1] + sorted[n/2])
+		}
+		if got := NoiseFloorInto(make([]float64, n), s); got != want {
+			t.Fatalf("n=%d: median %v, want %v", n, got, want)
+		}
 	}
 }
 

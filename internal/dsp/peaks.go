@@ -1,9 +1,6 @@
 package dsp
 
-import (
-	"slices"
-	"sort"
-)
+import "slices"
 
 // Peak is a local maximum of a spectrum.
 type Peak struct {
@@ -106,10 +103,44 @@ func NoiseFloorInto(tmp []float64, s Spectrum) float64 {
 	}
 	tmp = tmp[:len(s)]
 	copy(tmp, s)
-	sort.Float64s(tmp)
 	m := len(tmp) / 2
+	selectKth(tmp, m)
 	if len(tmp)%2 == 1 {
 		return tmp[m]
 	}
-	return 0.5 * (tmp[m-1] + tmp[m])
+	return 0.5 * (slices.Max(tmp[:m]) + tmp[m])
+}
+
+// selectKth reorders x so that x[k] is the value a sort would put there,
+// with no larger value before it and no smaller one after (Hoare's
+// quickselect): the median without the full sort.
+//
+//cic:hotpath
+func selectKth(x []float64, k int) {
+	lo, hi := 0, len(x)-1
+	for lo < hi {
+		pivot := x[lo+(hi-lo)/2]
+		i, j := lo, hi
+		for i <= j {
+			for x[i] < pivot {
+				i++
+			}
+			for x[j] > pivot {
+				j--
+			}
+			if i <= j {
+				x[i], x[j] = x[j], x[i]
+				i++
+				j--
+			}
+		}
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
+	}
 }

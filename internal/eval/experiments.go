@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 
+	"cic"
 	"cic/internal/channel"
 	"cic/internal/chirp"
 	"cic/internal/core"
@@ -67,8 +68,8 @@ func ICSSComparison(cfg Config, dep sim.Deployment) (Figure, error) {
 		ID:    "icss",
 		Title: fmt.Sprintf("Optimal ICSS vs Strawman for %s", dep.Name),
 	}, []cicVariant{
-		{"CIC (optimal ICSS)", core.Options{}},
-		{"Strawman-CIC", core.Options{Strawman: true}},
+		{"CIC (optimal ICSS)", nil},
+		{"Strawman-CIC", []cic.Option{cic.WithAlgorithm(cic.AlgorithmStrawman)}},
 	})
 }
 

@@ -3,31 +3,48 @@ package eval
 import (
 	"fmt"
 
-	"cic/internal/baseline/choir"
-	"cic/internal/baseline/ftrack"
+	"cic"
 	"cic/internal/baseline/stdlora"
-	"cic/internal/core"
 	"cic/internal/frame"
 	"cic/internal/obs"
 	"cic/internal/phy"
 	"cic/internal/rx"
+	"cic/internal/sim"
 )
 
-// Receiver is the common surface every evaluated gateway implements.
-type Receiver interface {
-	Name() string
-	Receive(src rx.SampleSource) ([]rx.Decoded, error)
+// Receiver is one named receiver of the comparison: a cic.Receiver (so
+// every figure comes from the Gateway the daemons run) under the name the
+// figures use.
+type Receiver struct {
+	name string
+	r    *cic.Receiver
+}
+
+// Name identifies the receiver in evaluation output.
+func (r Receiver) Name() string { return r.name }
+
+// Receive decodes every packet in src, in start order.
+func (r Receiver) Receive(src rx.SampleSource) ([]sim.Decode, error) {
+	pkts, err := r.r.DecodeSource(src)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]sim.Decode, len(pkts))
+	for i, p := range pkts {
+		out[i] = sim.Decode{Start: p.Start, Payload: p.Payload, OK: p.OK}
+	}
+	return out, nil
 }
 
 // DefaultReceivers builds the four receivers the paper compares, in
-// ReceiverNames order: CIC, FTrack, Choir and standard LoRa. m, when
-// non-nil, instruments the CIC receiver's decode stages; the baselines
+// ReceiverNames order: CIC, FTrack, Choir and standard LoRa. reg, when
+// non-nil, collects the CIC receiver's decode metrics; the baselines
 // exist for comparison curves and are not instrumented.
-func DefaultReceivers(cfg frame.Config, workers int, m *obs.DecodeMetrics) ([]Receiver, error) {
+func DefaultReceivers(cfg frame.Config, workers int, reg *obs.Registry) ([]Receiver, error) {
 	names := ReceiverNames()
 	out := make([]Receiver, len(names))
 	for i, name := range names {
-		r, err := ReceiverByName(cfg, workers, name, m)
+		r, err := ReceiverByName(cfg, workers, name, reg)
 		if err != nil {
 			return nil, fmt.Errorf("eval: %s receiver: %w", name, err)
 		}
@@ -39,38 +56,58 @@ func DefaultReceivers(cfg frame.Config, workers int, m *obs.DecodeMetrics) ([]Re
 // cicVariant is a named CIC receiver configuration.
 type cicVariant struct {
 	name string
-	opts core.Options
+	opts []cic.Option
 }
 
 // cicVariants are the CIC receivers ReceiverByName builds: the full
 // receiver and the feature ablations of Figs 36–37, in the figures'
 // series order.
 var cicVariants = []cicVariant{
-	{"CIC", core.Options{}},
-	{"CIC-(CFO)", core.Options{DisableCFOFilter: true}},
-	{"CIC-(Power)", core.Options{DisablePowerFilter: true}},
-	{"CIC-(Power,CFO)", core.Options{DisableCFOFilter: true, DisablePowerFilter: true}},
+	{"CIC", nil},
+	{"CIC-(CFO)", []cic.Option{cic.WithoutCFOFilter()}},
+	{"CIC-(Power)", []cic.Option{cic.WithoutPowerFilter()}},
+	{"CIC-(Power,CFO)", []cic.Option{cic.WithoutCFOFilter(), cic.WithoutPowerFilter()}},
 }
 
-// receiver builds the variant's CIC receiver, instrumented on m when m is
-// non-nil, reporting the variant's name.
-func (v cicVariant) receiver(cfg frame.Config, workers int, m *obs.DecodeMetrics) (Receiver, error) {
-	opts := v.opts
-	opts.Metrics = m
-	r, err := core.NewReceiver(cfg, opts, rx.DetectorOptions{}, workers)
-	if err != nil {
-		return nil, err
+// baselines maps the comparison's baseline names to their algorithms.
+var baselines = map[string]cic.Algorithm{
+	"FTrack": cic.AlgorithmFTrack,
+	"Choir":  cic.AlgorithmChoir,
+	"LoRa":   cic.AlgorithmLoRa,
+}
+
+// receiver builds the variant's CIC receiver, recording into reg when reg
+// is non-nil, reporting the variant's name.
+func (v cicVariant) receiver(cfg frame.Config, workers int, reg *obs.Registry) (Receiver, error) {
+	opts := append([]cic.Option{cic.WithWorkers(workers)}, v.opts...)
+	if reg != nil {
+		opts = append(opts, cic.WithMetrics(reg))
 	}
-	return namedReceiver{Receiver: r, name: v.name}, nil
+	return newReceiver(v.name, cfg, opts...)
 }
 
-// namedReceiver overrides the display name of a wrapped receiver.
-type namedReceiver struct {
-	Receiver
-	name string
+func newReceiver(name string, fc frame.Config, opts ...cic.Option) (Receiver, error) {
+	r, err := cic.NewReceiver(cicConfig(fc), opts...)
+	if err != nil {
+		return Receiver{}, err
+	}
+	return Receiver{name: name, r: r}, nil
 }
 
-func (n namedReceiver) Name() string { return n.name }
+// cicConfig is the public form of a frame configuration.
+func cicConfig(fc frame.Config) cic.Config {
+	return cic.Config{
+		SpreadingFactor: fc.Chirp.SF,
+		Bandwidth:       fc.Chirp.Bandwidth,
+		Oversampling:    fc.Chirp.OSR,
+		CodingRate:      int(fc.PHY.CR),
+		PayloadCRC:      fc.PHY.HasCRC,
+		LowDataRate:     fc.PHY.LowDataRate,
+		ImplicitHeader:  fc.PHY.ImplicitHeader,
+		ImplicitLength:  fc.PHY.ImplicitLength,
+		SyncWord:        fc.SyncWord,
+	}
+}
 
 // ReceiverNames lists the paper's comparison set, in its comparison order.
 func ReceiverNames() []string { return []string{"CIC", "FTrack", "Choir", "LoRa"} }
@@ -79,23 +116,17 @@ func ReceiverNames() []string { return []string{"CIC", "FTrack", "Choir", "LoRa"
 // comparison set ("CIC", "FTrack", "Choir", "LoRa") or the CIC ablation
 // variants of Figs 36–37 ("CIC-(CFO)", "CIC-(Power)", "CIC-(Power,CFO)").
 // The experiment harness uses this so a config can declare any subset.
-// m, when non-nil, instruments a CIC receiver's decode stages.
-func ReceiverByName(cfg frame.Config, workers int, name string, m *obs.DecodeMetrics) (Receiver, error) {
+// reg, when non-nil, collects a CIC receiver's decode metrics.
+func ReceiverByName(cfg frame.Config, workers int, name string, reg *obs.Registry) (Receiver, error) {
 	for _, v := range cicVariants {
 		if v.name == name {
-			return v.receiver(cfg, workers, m)
+			return v.receiver(cfg, workers, reg)
 		}
 	}
-	switch name {
-	case "FTrack":
-		return ftrack.New(cfg, ftrack.Options{}, rx.DetectorOptions{}, workers)
-	case "Choir":
-		return choir.New(cfg, choir.Options{}, rx.DetectorOptions{}, workers)
-	case "LoRa":
-		return stdlora.New(cfg, rx.DetectorOptions{}, workers)
-	default:
-		return nil, fmt.Errorf("eval: unknown receiver %q (want one of CIC, FTrack, Choir, LoRa, or a CIC ablation variant)", name)
+	if algo, ok := baselines[name]; ok {
+		return newReceiver(name, cfg, cic.WithAlgorithm(algo), cic.WithWorkers(workers))
 	}
+	return Receiver{}, fmt.Errorf("eval: unknown receiver %q (want one of CIC, FTrack, Choir, LoRa, or a CIC ablation variant)", name)
 }
 
 // DetectionScanner is a named preamble-detection strategy: the unit the

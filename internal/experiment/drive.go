@@ -11,12 +11,13 @@ import (
 // Drive modes.
 const (
 	// DriveInProcess scores every receiver in this process against the
-	// rendered run through the batch pipeline.
+	// rendered run, each writing the whole run into a cic.Gateway.
 	DriveInProcess = "inprocess"
 	// DriveGatewayd streams the CIC receiver's IQ through a cic-gatewayd
 	// over TCP (server.ReconnectingClient) and scores the daemon's NDJSON
 	// records; baseline receivers still run in-process, since the daemon
-	// only speaks CIC.
+	// only speaks CIC. Both drives decode with the same Gateway, so their
+	// CIC scores agree.
 	DriveGatewayd = "gatewayd"
 )
 

@@ -14,7 +14,6 @@ import (
 
 	"cic/internal/eval"
 	"cic/internal/obs"
-	"cic/internal/rx"
 	"cic/internal/server"
 	"cic/internal/sim"
 )
@@ -161,13 +160,13 @@ func runTrialGatewayd(cfg *Config, t Trial, gd *Gatewayd) (map[string]ReceiverSc
 // readStationRecords loads the daemon's published records for one station
 // from its NDJSON out-file and converts them to the scoring form. The
 // file is shared by every concurrent trial, so filtering happens here.
-func readStationRecords(path, station string) ([]rx.Decoded, error) {
+func readStationRecords(path, station string) ([]sim.Decode, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("read gatewayd records: %w", err)
 	}
 	defer f.Close()
-	var out []rx.Decoded
+	var out []sim.Decode
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
 	for sc.Scan() {
@@ -186,13 +185,7 @@ func readStationRecords(path, station string) ([]rx.Decoded, error) {
 		if err != nil {
 			return nil, fmt.Errorf("gatewayd record payload: %w", err)
 		}
-		out = append(out, rx.Decoded{
-			Packet:       &rx.Packet{Start: rec.Start, CFOHz: rec.CFOHz, SNRdB: rec.SNRdB},
-			HeaderOK:     rec.OK,
-			CRCOK:        rec.OK,
-			Payload:      payload,
-			FECCorrected: rec.FECCorrected,
-		})
+		out = append(out, sim.Decode{Start: rec.Start, Payload: payload, OK: rec.OK})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("gatewayd records: %w", err)

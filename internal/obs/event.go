@@ -66,9 +66,7 @@ type Event struct {
 	// Elapsed is the duration of the stage that produced the event
 	// (header decode or payload demodulation).
 	Elapsed time.Duration `json:"elapsed,omitempty"`
-	// Latency is preamble-detect to emit, for emit events from a
-	// streaming gateway (zero in batch mode, where there is no wall-clock
-	// detection instant per packet).
+	// Latency is preamble-detect to emit, for emit events.
 	Latency time.Duration `json:"latency,omitempty"`
 }
 

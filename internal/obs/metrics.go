@@ -4,7 +4,6 @@ package obs
 // maps each to its decode-stage meaning and paper section.
 const (
 	MetricSamplesIngested    = "samples_ingested"
-	MetricSamplesDropped     = "samples_dropped"
 	MetricDetectWindows      = "detect_windows"
 	MetricDetectCandidates   = "detect_candidates"
 	MetricDetectRejects      = "detect_rejects"
@@ -42,7 +41,6 @@ const (
 // (see the nil-safety contract in the package comment).
 type DecodeMetrics struct {
 	SamplesIngested    *Counter
-	SamplesDropped     *Counter
 	DetectWindows      *Counter
 	DetectCandidates   *Counter
 	DetectRejects      *Counter
@@ -90,7 +88,6 @@ func NewDecodeMetrics(r *Registry) *DecodeMetrics {
 	}
 	return &DecodeMetrics{
 		SamplesIngested:    r.Counter(MetricSamplesIngested),
-		SamplesDropped:     r.Counter(MetricSamplesDropped),
 		DetectWindows:      r.Counter(MetricDetectWindows),
 		DetectCandidates:   r.Counter(MetricDetectCandidates),
 		DetectRejects:      r.Counter(MetricDetectRejects),

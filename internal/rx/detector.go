@@ -106,14 +106,31 @@ type Detector struct {
 	spec     dsp.Spectrum // N-grid folded spectrum (len n)
 	nfTmp    []float64    // NoiseFloorInto workspace
 	peaksBuf []dsp.Peak
-	candsBuf []int64 // raw down-chirp anchors per scan
-	counts   []int   // up-chirp bin vote histogram (len n), cleared per use
+	counts   []int // up-chirp bin vote histogram (len n), cleared per use
 	hyposBuf []int
 	bUpsBuf  []float64
 	fracsBuf []float64
 	ampsBuf  []float64
 	snrsBuf  []float64
 	want     []int // expected preamble+SYNC symbol values (constant per cfg)
+
+	// Folded spectra and noise floors of the 12 whole-symbol windows the
+	// three trial alignments of refineHypothesis verify against.
+	vSpec  []dsp.Spectrum
+	vFloor []float64
+
+	// Down-chirp anchors found but not yet resolved, carried across
+	// range calls (see resolveCandidates). An anchor lies within spread of
+	// the window that found it, and align reads no further than reach
+	// past it.
+	anchors []int64
+	spread  int64
+	reach   int64
+
+	// Up-chirp run state carried across contiguous ScanUpchirpRange calls:
+	// the last UpchirpRun windows and the next window position.
+	upHist []upWindow
+	upNext int64
 }
 
 // NewDetector builds a Detector.
@@ -131,6 +148,11 @@ func NewDetector(cfg frame.Config, opts DetectorOptions) (*Detector, error) {
 		want = append(want, 0)
 	}
 	want = append(want, x, y)
+	vSpec := make([]dsp.Spectrum, len(want)+2)
+	vFlat := make(dsp.Spectrum, len(vSpec)*n)
+	for k := range vSpec {
+		vSpec[k] = vFlat[k*n : (k+1)*n : (k+1)*n]
+	}
 	return &Detector{
 		cfg:      cfg,
 		opts:     opts,
@@ -143,14 +165,30 @@ func NewDetector(cfg frame.Config, opts DetectorOptions) (*Detector, error) {
 		nfTmp:    make([]float64, n),
 		counts:   make([]int, n),
 		peaksBuf: make([]dsp.Peak, 0, 8),
-		candsBuf: make([]int64, 0, 32),
+		anchors:  make([]int64, 0, 32),
+		// A window's peak bin maps to an anchor offset of at most
+		// ±(M/2)·OSR samples. align shifts the anchor at most three times
+		// by (MaxCFOBins + N/2)·OSR samples each (a larger shift breaks
+		// the CFO budget), then reads up to three symbols past it (the
+		// +1-symbol trial's second down-chirp).
+		spread:   int64(m * cfg.Chirp.OSR / 2),
+		reach:    3*int64(math.Ceil((opts.MaxCFOBins+float64(n)/2)*float64(cfg.Chirp.OSR))) + 3*int64(m),
 		hyposBuf: make([]int, 0, 16),
 		bUpsBuf:  make([]float64, 0, 4),
 		fracsBuf: make([]float64, 0, frame.PreambleUpchirps),
 		ampsBuf:  make([]float64, 0, len(want)),
 		snrsBuf:  make([]float64, 0, len(want)),
 		want:     want,
+		vSpec:    vSpec,
+		vFloor:   make([]float64, len(vSpec)),
 	}, nil
+}
+
+// ResolveLag reports how far behind the end of the buffered samples a
+// range scan resolves an anchor when its windows trail that end by
+// scanLag (see resolveCandidates).
+func (det *Detector) ResolveLag(scanLag int64) int64 {
+	return max(scanLag+det.spread, det.reach)
 }
 
 // dcRegionOffset is the number of whole symbols between the packet start
@@ -195,28 +233,25 @@ func (det *Detector) mgridFromTmp() dsp.Spectrum {
 // verified against the 8 up-chirps and SYNC word behind them.
 func (det *Detector) ScanDownchirp(src SampleSource) []*Packet {
 	start, end := src.Span()
-	return det.ScanDownchirpRange(src, start, end)
+	det.anchors = det.anchors[:0]
+	return det.ScanDownchirpRange(src, start-int64(det.cfg.Chirp.SamplesPerSymbol()), end, nil)
 }
 
-// ScanDownchirpRange is ScanDownchirp restricted to scan-window positions
-// in [start, end) — the incremental entry point used by the streaming
-// gateway. Detected packets may begin before `start` (the preamble extends
-// ~12 symbols before the down-chirps the scan keys on).
+// ScanDownchirpRange is ScanDownchirp restricted to the scan windows whose
+// positions lie in [start, end) — the incremental entry point used by the
+// streaming gateway. Positions sit on a global half-symbol grid, so
+// contiguous ranges visit exactly the windows one whole-span scan would.
+// Detected packets may begin before start (the preamble extends ~12
+// symbols before the down-chirps the scan keys on). tracked lists packets
+// the caller already tracks; detections that duplicate them are dropped
+// (see resolveCandidates).
 //
 //cic:hotpath
-func (det *Detector) ScanDownchirpRange(src SampleSource, start, end int64) []*Packet {
+func (det *Detector) ScanDownchirpRange(src SampleSource, start, end int64, tracked []*Packet) []*Packet {
 	m := det.cfg.Chirp.SamplesPerSymbol()
 	osr := det.cfg.Chirp.OSR
 	gen := det.d.Generator()
-	cands := det.candsBuf[:0]
-	// Align scan positions to the global half-symbol grid so incremental
-	// range scans visit exactly the positions a whole-span scan would.
-	first := start - int64(m)
-	grid := int64(m / 2)
-	if r := first % grid; r != 0 {
-		first -= r
-	}
-	for p := first; p < end; p += grid {
+	for p := gridCeil(start, int64(m/2)); p < end; p += int64(m / 2) {
 		det.opts.Metrics.DetectWindows.Inc()
 		src.Read(det.win, p)
 		gen.DechirpDown(det.dd, det.win)
@@ -237,10 +272,22 @@ func (det *Detector) ScanDownchirpRange(src SampleSource, start, end int64) []*P
 		if bin > m/2 {
 			e = (bin - m) * osr
 		}
-		cands = append(cands, p+int64(e))
+		det.anchors = append(det.anchors, p+int64(e))
+		det.opts.Metrics.DetectCandidates.Inc()
 	}
-	det.candsBuf = cands
-	return det.resolveCandidates(src, cands)
+	return det.resolveCandidates(src, end, tracked)
+}
+
+// gridCeil returns the first multiple of grid at or after x.
+func gridCeil(x, grid int64) int64 {
+	r := x % grid
+	if r < 0 {
+		r += grid
+	}
+	if r == 0 {
+		return x
+	}
+	return x - r + grid
 }
 
 // upWindow is one symbol-length window's peak set in the up-chirp scan.
@@ -256,22 +303,30 @@ type upWindow struct {
 // the per-window peaks (Fig 19) — the failure mode Figs 32–35 measure.
 func (det *Detector) ScanUpchirp(src SampleSource) []*Packet {
 	start, end := src.Span()
-	return det.ScanUpchirpRange(src, start, end)
+	det.anchors, det.upHist = det.anchors[:0], det.upHist[:0]
+	return det.ScanUpchirpRange(src, start-int64(det.cfg.Chirp.SamplesPerSymbol()), end, nil)
 }
 
-// ScanUpchirpRange is ScanUpchirp restricted to window positions in
-// [start, end).
-func (det *Detector) ScanUpchirpRange(src SampleSource, start, end int64) []*Packet {
-	m := det.cfg.Chirp.SamplesPerSymbol()
+// ScanUpchirpRange is ScanUpchirp restricted to the windows whose
+// positions lie in [start, end), on a global symbol grid. The run history
+// carries over when a call continues exactly where the previous one
+// stopped, so contiguous calls find the runs one whole-span scan would.
+// tracked is as for ScanDownchirpRange.
+func (det *Detector) ScanUpchirpRange(src SampleSource, start, end int64, tracked []*Packet) []*Packet {
+	m := int64(det.cfg.Chirp.SamplesPerSymbol())
 	n := det.cfg.Chirp.ChipCount()
 	fft := det.d.FFT()
 	gen := det.d.Generator()
 
-	var history []upWindow
-	cands := det.candsBuf[:0]
+	first := gridCeil(start, m)
+	history := det.upHist
+	if first != det.upNext {
+		history = history[:0]
+	}
 	run := det.opts.UpchirpRun
 
-	for p := start - int64(m); p < end; p += int64(m) {
+	p := first
+	for ; p < end; p += m {
 		det.opts.Metrics.DetectWindows.Inc()
 		src.Read(det.win, p)
 		gen.Dechirp(det.dd, det.win)
@@ -287,26 +342,30 @@ func (det *Detector) ScanUpchirpRange(src SampleSource, start, end int64) []*Pac
 				kept = append(kept, pk)
 			}
 		}
-		// The per-window history copy allocates; the conventional scan is
-		// a comparison baseline, not the streaming hot path.
+		// Only the last run windows matter; the per-window copy
+		// allocates, but the conventional scan serves the baselines, not
+		// the CIC hot path.
+		if len(history) == run {
+			history = append(history[:0], history[1:]...)
+		}
 		history = append(history, upWindow{pos: p, peaks: append([]dsp.Peak(nil), kept...)})
 		if len(history) < run {
 			continue
 		}
-		tail := history[len(history)-run:]
-		if _, ok := consistentBin(tail, n); ok {
+		if _, ok := consistentBin(history, n); ok {
 			// The run's final window sits inside the preamble; the
 			// down-chirp region follows within the next few symbols.
 			// Localise it with a bounded down-chirp search, as a real
 			// receiver uses the SFD for fine sync.
 			if anchor, ok := det.localDownchirp(src, p, 6); ok {
-				cands = append(cands, anchor)
+				det.anchors = append(det.anchors, anchor)
+				det.opts.Metrics.DetectCandidates.Inc()
 				history = history[:0] // avoid re-triggering on this run
 			}
 		}
 	}
-	det.candsBuf = cands
-	return det.resolveCandidates(src, cands)
+	det.upHist, det.upNext = history, p
+	return det.resolveCandidates(src, end, tracked)
 }
 
 // consistentBin reports whether every window in the run shares a peak bin
@@ -376,52 +435,58 @@ func (det *Detector) localDownchirp(src SampleSource, from int64, symbols int) (
 	return bestAnchor, found
 }
 
-// resolveCandidates refines, verifies and deduplicates raw candidate
-// down-chirp anchors, producing tracked packets sorted by start. The
-// anchors slice is sorted in place (it is the detector's scratch).
+// resolveCandidates refines, verifies and deduplicates the pending
+// down-chirp anchors of a scan that has covered the windows before end,
+// producing new tracked packets sorted by start.
+//
+// Anchors resolve in ascending order, and one waits until every smaller
+// anchor has been found (no window at or past end can yield an anchor
+// below end−spread) and every sample align may read is in the source's
+// span; it stays pending for a later call until then. A scan reaching the
+// end of the span resolves them all. So a run of contiguous range calls
+// resolves the same anchors in the same order, over the same samples, as
+// one whole-span scan.
+//
+// One duplicate rule holds within a call and across calls, against the
+// caller's tracked packets plus this call's accepts: an anchor within half
+// a symbol of a known packet's first down-chirp is skipped before paying
+// for refinement, and a synchronized packet whose start lies within half a
+// symbol of a known packet's start is dropped (the earlier-known packet
+// stays).
 //
 //cic:hotpath
-func (det *Detector) resolveCandidates(src SampleSource, dcAnchors []int64) []*Packet {
+func (det *Detector) resolveCandidates(src SampleSource, end int64, tracked []*Packet) []*Packet {
 	m := int64(det.cfg.Chirp.SamplesPerSymbol())
+	_, avail := src.Span()
+	final := end >= avail
 	var pkts []*Packet
-	det.opts.Metrics.DetectCandidates.Add(int64(len(dcAnchors)))
-	slices.Sort(dcAnchors)
-	for _, anchor := range dcAnchors {
-		// Skip anchors that obviously duplicate an accepted packet before
-		// paying for refinement.
-		dupEarly := false
-		for _, prev := range pkts {
-			dc := prev.Start + int64(dcRegionOffset)*m
-			if abs64(anchor-dc) < m/2 || abs64(anchor-dc-m) < m/2 {
-				dupEarly = true
-				break
-			}
+	slices.Sort(det.anchors)
+	done := 0
+	for _, anchor := range det.anchors {
+		if !final && (anchor >= end-det.spread || anchor+det.reach > avail) {
+			break
 		}
-		if dupEarly {
+		done++
+		if near(tracked, anchor, dcRegionOffset*m, m/2) || near(pkts, anchor, dcRegionOffset*m, m/2) {
 			continue
 		}
-		pkt, ok := det.Synchronize(src, anchor)
+		pkt, ok := det.align(src, anchor)
 		if !ok {
 			det.opts.Metrics.DetectRejects.Inc()
 			continue
 		}
-		dup := false
-		for i, prev := range pkts {
-			if abs64(pkt.Start-prev.Start) < m/2 {
-				dup = true
-				if pkt.Score > prev.Score {
-					pkts[i] = pkt
-				}
-				break
-			}
+		if near(tracked, pkt.Start, 0, m/2) || near(pkts, pkt.Start, 0, m/2) {
+			continue
 		}
-		if !dup {
-			pkts = append(pkts, pkt) //cic:alloc-ok — accepted detections escape to the caller
-			if det.opts.MaxPackets > 0 && len(pkts) >= det.opts.MaxPackets {
-				break
-			}
+		pkts = append(pkts, det.keep(src, pkt)) //cic:alloc-ok — accepted detections escape to the caller
+		if det.opts.MaxPackets > 0 && len(pkts) >= det.opts.MaxPackets {
+			break
 		}
 	}
+	if final {
+		done = len(det.anchors)
+	}
+	det.anchors = append(det.anchors[:0], det.anchors[done:]...)
 	slices.SortFunc(pkts, func(a, b *Packet) int {
 		switch {
 		case a.Start < b.Start:
@@ -435,6 +500,18 @@ func (det *Detector) resolveCandidates(src SampleSource, dcAnchors []int64) []*P
 		p.ID = i
 	}
 	return pkts
+}
+
+// near reports whether x lies within tol of some packet's Start+offset.
+//
+//cic:hotpath
+func near(pkts []*Packet, x, offset, tol int64) bool {
+	for _, p := range pkts {
+		if abs64(x-p.Start-offset) < tol {
+			return true
+		}
+	}
+	return false
 }
 
 func abs64(x int64) int64 {
@@ -460,6 +537,30 @@ func abs64(x int64) int64 {
 //
 //cic:hotpath
 func (det *Detector) Synchronize(src SampleSource, dcAnchor int64) (*Packet, bool) {
+	pkt, ok := det.align(src, dcAnchor)
+	if !ok {
+		return nil, false
+	}
+	return det.keep(src, pkt), true
+}
+
+// keep promotes an aligned detection to the heap, then refines its CFO
+// estimate.
+//
+//cic:hotpath
+func (det *Detector) keep(src SampleSource, pkt Packet) *Packet {
+	p := new(Packet) //cic:alloc-ok — the accepted detection escapes
+	*p = pkt
+	det.refineEffectiveCFO(src, p)
+	return p
+}
+
+// align is Synchronize without the final effective-CFO refinement, which
+// changes only the CFO estimate, and without the heap copy: a scan pays
+// for both only on the packets it keeps.
+//
+//cic:hotpath
+func (det *Detector) align(src SampleSource, dcAnchor int64) (Packet, bool) {
 	cfg := det.cfg
 	m := cfg.Chirp.SamplesPerSymbol()
 	n := cfg.Chirp.ChipCount()
@@ -473,7 +574,7 @@ func (det *Detector) Synchronize(src SampleSource, dcAnchor int64) (*Packet, boo
 	mag := det.mgrid(det.dd)
 	_, at := mag.Max()
 	if at < 0 {
-		return nil, false
+		return Packet{}, false
 	}
 
 	// Gather up-chirp peak hypotheses from mid-preamble windows. Under
@@ -530,19 +631,15 @@ func (det *Detector) Synchronize(src SampleSource, dcAnchor int64) (*Packet, boo
 		hypos = hypos[:4]
 	}
 
-	var best *Packet
+	var best Packet
+	found := false
 	for _, h := range hypos {
 		bUp0 := dsp.WrapToHalf(float64(h), float64(n)/2)
-		if pkt, ok := det.refineHypothesis(src, dcAnchor, bUp0); ok {
-			if best == nil || pkt.Score > best.Score {
-				best = pkt
-			}
+		if pkt, ok := det.refineHypothesis(src, dcAnchor, bUp0); ok && (!found || pkt.Score > best.Score) {
+			best, found = pkt, true
 		}
 	}
-	if best == nil {
-		return nil, false
-	}
-	return best, true
+	return best, found
 }
 
 // refineHypothesis iterates the (δ, ε) solution for one up-chirp bin
@@ -550,7 +647,7 @@ func (det *Detector) Synchronize(src SampleSource, dcAnchor int64) (*Packet, boo
 // symbol down-chirp ambiguity).
 //
 //cic:hotpath
-func (det *Detector) refineHypothesis(src SampleSource, dcAnchor int64, bUpHypo float64) (*Packet, bool) {
+func (det *Detector) refineHypothesis(src SampleSource, dcAnchor int64, bUpHypo float64) (Packet, bool) {
 	cfg := det.cfg
 	m := cfg.Chirp.SamplesPerSymbol()
 	n := cfg.Chirp.ChipCount()
@@ -575,7 +672,7 @@ func (det *Detector) refineHypothesis(src SampleSource, dcAnchor int64, bUpHypo 
 			bDown, pDown = nearestPeak(mag, cfoBins, 4)
 		}
 		if pDown <= 0 {
-			return nil, false
+			return Packet{}, false
 		}
 		bDownW := dsp.WrapToHalf(bDown, float64(m)/2)
 
@@ -598,7 +695,7 @@ func (det *Detector) refineHypothesis(src SampleSource, dcAnchor int64, bUpHypo 
 		bUp := 0.5 * (bUps[1] + bUps[2]) // median of 4
 		cfoBins = (bUp + bDownW) / 2
 		if math.Abs(cfoBins) > det.opts.MaxCFOBins {
-			return nil, false
+			return Packet{}, false
 		}
 		epsChips := (bDownW - bUp) / 2
 		shift := int64(math.Round(epsChips * float64(osr)))
@@ -614,24 +711,25 @@ func (det *Detector) refineHypothesis(src SampleSource, dcAnchor int64, bUpHypo 
 	base := preStartOf(dcStart, m)
 
 	// Resolve the which-down-chirp ambiguity: try start shifts of 0, ±1
-	// symbol and keep the best verification score. The trial Packet stays
-	// on the stack; only an accepted alignment is promoted to the heap, so
-	// rejected hypotheses (the common case while scanning) cost nothing.
-	var best *Packet
-	for _, shift := range []int64{0, -int64(m), int64(m)} {
-		trial := Packet{Start: base + shift, CFOHz: cfoHz}
-		if det.verify(src, &trial) && (best == nil || trial.Score > best.Score) {
-			if best == nil {
-				best = new(Packet) //cic:alloc-ok — the accepted detection escapes
-			}
-			*best = trial
+	// symbol and keep the best verification score. The three alignments
+	// verify against the same whole-symbol windows, one apart, so each
+	// window is folded once. Trials stay on the stack; only a detection
+	// the caller keeps is promoted to the heap (keep), so rejected and
+	// duplicate alignments (the common case while scanning) cost nothing.
+	for k := range det.vSpec {
+		det.d.LoadWindow(src, base+int64((k-1)*m), cfoHz)
+		copy(det.vSpec[k], det.d.FoldedSpectrum())
+		det.vFloor[k] = dsp.NoiseFloorInto(det.nfTmp, det.vSpec[k])
+	}
+	var best Packet
+	found := false
+	for _, shift := range []int{0, -1, 1} {
+		trial := Packet{Start: base + int64(shift*m), CFOHz: cfoHz}
+		if det.verify(src, &trial, det.vSpec[shift+1:], det.vFloor[shift+1:]) && (!found || trial.Score > best.Score) {
+			best, found = trial, true
 		}
 	}
-	if best == nil {
-		return nil, false
-	}
-	det.refineEffectiveCFO(src, best)
-	return best, true
+	return best, found
 }
 
 // refineEffectiveCFO measures the residual fractional peak offset over the
@@ -701,23 +799,20 @@ func nearestPeak(mag dsp.Spectrum, expect float64, radius int) (float64, float64
 	return pos, h
 }
 
-// verify demodulates the 8 preamble up-chirps and 2 SYNC symbols with the
-// packet's timing and CFO; it scores matches, estimates the reference peak
-// amplitude and SNR, and accepts when the score reaches VerifyMinScore.
+// verify scores the 8 preamble up-chirps and 2 SYNC symbols of pkt, given
+// their folded spectra (de-chirped with the packet's timing and CFO) and
+// noise floors; it estimates the reference peak amplitude and SNR, and
+// accepts when the score reaches VerifyMinScore.
 //
 //cic:hotpath
-func (det *Detector) verify(src SampleSource, pkt *Packet) bool {
-	cfg := det.cfg
-	m := cfg.Chirp.SamplesPerSymbol()
-	n := cfg.Chirp.ChipCount()
-	d := det.d
+func (det *Detector) verify(src SampleSource, pkt *Packet, specs []dsp.Spectrum, floors []float64) bool {
+	n := det.cfg.Chirp.ChipCount()
 
 	score := 0
 	amps := det.ampsBuf[:0]
 	snrs := det.snrsBuf[:0]
 	for i, w := range det.want {
-		d.LoadWindow(src, pkt.Start+int64(i*m), pkt.CFOHz)
-		spec := d.FoldedSpectrum()
+		spec := specs[i]
 		// Check the expected bin (±1) against the noise floor instead of
 		// requiring the global maximum: under collisions a stronger
 		// concurrent transmission legitimately owns the global peak.
@@ -728,7 +823,7 @@ func (det *Detector) verify(src SampleSource, pkt *Packet) bool {
 		if dn := spec[(w-1+n)%n]; dn > peak {
 			peak = dn
 		}
-		nf := dsp.NoiseFloorInto(det.nfTmp, spec)
+		nf := floors[i]
 		if nf > 0 && peak >= det.opts.VerifyPeakFactor*nf {
 			score++
 			amps = append(amps, math.Sqrt(peak))

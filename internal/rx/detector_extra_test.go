@@ -102,32 +102,42 @@ func TestMaxPacketsBound(t *testing.T) {
 	}
 }
 
-// TestScanRangeEquivalence: scanning the span in two halves finds the same
-// packets as one pass (the streaming gateway depends on this).
+// TestScanRangeEquivalence: scanning the span in contiguous pieces, each
+// handed the packets found so far, finds exactly what one whole-span scan
+// finds, for both scans (the gateway depends on this). Pieces shorter
+// than a symbol make the up-chirp run span many calls. A rescan handed
+// the result finds nothing new.
 func TestScanRangeEquivalence(t *testing.T) {
 	cfg := testCfg()
+	m := int64(cfg.Chirp.SamplesPerSymbol())
 	src, start := buildAir(t, cfg, []byte("range equivalence"), 30000, 25, -1900, true, 11)
-	det, err := NewDetector(cfg, DetectorOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	whole := det.ScanDownchirp(src)
 	s, e := src.Span()
-	mid := (s + e) / 2
-	firstHalf := det.ScanDownchirpRange(src, s, mid)
-	secondHalf := det.ScanDownchirpRange(src, mid, e)
-	combined := append(firstHalf, secondHalf...)
-	if len(whole) != 1 {
-		t.Fatalf("whole scan found %d packets", len(whole))
-	}
-	found := false
-	for _, p := range combined {
-		if abs64(p.Start-start) <= 2 {
-			found = true
+	for _, tc := range []struct {
+		name  string
+		whole func(*Detector, SampleSource) []*Packet
+		part  func(*Detector, SampleSource, int64, int64, []*Packet) []*Packet
+	}{
+		{"downchirp", (*Detector).ScanDownchirp, (*Detector).ScanDownchirpRange},
+		{"upchirp", (*Detector).ScanUpchirp, (*Detector).ScanUpchirpRange},
+	} {
+		det, err := NewDetector(cfg, DetectorOptions{})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !found {
-		t.Errorf("split scan missed the packet (found %d candidates)", len(combined))
+		whole := tc.whole(det, src)
+		if len(whole) != 1 || abs64(whole[0].Start-start) > 2 {
+			t.Fatalf("%s: whole scan found %v", tc.name, whole)
+		}
+		var pieces []*Packet
+		for from := s - m; from < e; from += 700 {
+			pieces = append(pieces, tc.part(det, src, from, min(from+700, e), pieces)...)
+		}
+		if len(pieces) != 1 || pieces[0].Start != whole[0].Start || pieces[0].CFOHz != whole[0].CFOHz {
+			t.Errorf("%s: piecewise scan found %v, whole scan %v", tc.name, pieces, whole)
+		}
+		if again := tc.part(det, src, s-m, e, whole); len(again) != 0 {
+			t.Errorf("%s: rescan re-detected tracked packets: %v", tc.name, again)
+		}
 	}
 }
 

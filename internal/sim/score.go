@@ -6,6 +6,13 @@ import (
 	"cic/internal/rx"
 )
 
+// Decode is one receiver output as scoring sees it.
+type Decode struct {
+	Start   int64  // estimated first preamble sample
+	Payload []byte // decoded payload (nil when the decode failed)
+	OK      bool   // header checksum and payload CRC both passed
+}
+
 // Score summarises a receiver's performance on one run.
 type Score struct {
 	Offered  int // packets transmitted
@@ -52,7 +59,7 @@ func matchWindow(run *Run) int64 {
 // when some result within half a symbol of its start reproduces its payload
 // exactly and passes the CRC. Each result can claim at most one truth
 // packet and vice versa.
-func ScoreDecodes(run *Run, results []rx.Decoded, duration float64) Score {
+func ScoreDecodes(run *Run, results []Decode, duration float64) Score {
 	s := Score{Offered: len(run.Truth), Duration: duration}
 	win := matchWindow(run)
 	claimed := make([]bool, len(results))
@@ -63,12 +70,12 @@ func ScoreDecodes(run *Run, results []rx.Decoded, duration float64) Score {
 			if claimed[i] {
 				continue
 			}
-			d := res.Packet.Start - tx.StartSample
+			d := res.Start - tx.StartSample
 			if d < -win || d > win {
 				continue
 			}
 			matchedDetect = true
-			if res.OK() && bytes.Equal(res.Payload, tx.Payload) {
+			if res.OK && bytes.Equal(res.Payload, tx.Payload) {
 				claimed[i] = true
 				matchedDecode = true
 				break
@@ -82,11 +89,11 @@ func ScoreDecodes(run *Run, results []rx.Decoded, duration float64) Score {
 		}
 	}
 	for i, res := range results {
-		if !claimed[i] && res.OK() {
+		if !claimed[i] && res.OK {
 			// Decoded something that matches no transmission: false decode.
 			matched := false
 			for _, tx := range run.Truth {
-				d := res.Packet.Start - tx.StartSample
+				d := res.Start - tx.StartSample
 				if d >= -win && d <= win {
 					matched = true
 					break

@@ -75,13 +75,10 @@ func TestScoreDecodesClaimsEachTruthOnce(t *testing.T) {
 	run.Truth = append(run.Truth, run.Truth...)
 	run.Truth = run.Truth[:0]
 	run.Truth = append(run.Truth, truthAt(1000, []byte{9}))
-	dup := rx.Decoded{
-		Packet:   &rx.Packet{Start: 1001},
-		HeaderOK: true, CRCOK: true, Payload: []byte{9},
-	}
+	dup := Decode{Start: 1001, OK: true, Payload: []byte{9}}
 	dup2 := dup
-	dup2.Packet = &rx.Packet{Start: 999}
-	s := ScoreDecodes(run, []rx.Decoded{dup, dup2}, 1)
+	dup2.Start = 999
+	s := ScoreDecodes(run, []Decode{dup, dup2}, 1)
 	if s.Decoded != 1 {
 		t.Errorf("decoded = %d, want 1 (no double counting)", s.Decoded)
 	}

@@ -4,8 +4,8 @@ import (
 	"math"
 	"testing"
 
+	"cic"
 	"cic/internal/chirp"
-	"cic/internal/core"
 	"cic/internal/frame"
 	"cic/internal/phy"
 	"cic/internal/rx"
@@ -111,10 +111,17 @@ func TestEndToEndD1LightLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recv, _ := core.NewReceiver(cfg, core.Options{}, rx.DetectorOptions{}, 0)
-	results, err := recv.Receive(run.Source)
+	recv, err := cic.NewReceiver(cic.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
+	}
+	pkts, err := recv.DecodeSource(run.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var results []Decode
+	for _, p := range pkts {
+		results = append(results, Decode{Start: p.Start, Payload: p.Payload, OK: p.OK})
 	}
 	score := ScoreDecodes(run, results, 2.0)
 	if score.Offered < 5 {
@@ -157,23 +164,19 @@ func TestScoreDecodesMatching(t *testing.T) {
 	cfg := testCfg()
 	run := &Run{Cfg: cfg}
 	run.Truth = []traffic.Transmission{{StartSample: 1000, Payload: []byte{0xAB, 0xCD}}}
-	good := rx.Decoded{
-		Packet:   &rx.Packet{Start: 1001},
-		HeaderOK: true, CRCOK: true,
-		Payload: []byte{0xAB, 0xCD},
-	}
+	good := Decode{Start: 1001, OK: true, Payload: []byte{0xAB, 0xCD}}
 	badPayload := good
 	badPayload.Payload = []byte{0xFF, 0xFF}
 	farAway := good
-	farAway.Packet = &rx.Packet{Start: 99999}
+	farAway.Start = 99999
 
-	if s := ScoreDecodes(run, []rx.Decoded{good}, 1); s.Decoded != 1 || s.Detected != 1 {
+	if s := ScoreDecodes(run, []Decode{good}, 1); s.Decoded != 1 || s.Detected != 1 {
 		t.Errorf("good: %+v", s)
 	}
-	if s := ScoreDecodes(run, []rx.Decoded{badPayload}, 1); s.Decoded != 0 || s.Detected != 1 {
+	if s := ScoreDecodes(run, []Decode{badPayload}, 1); s.Decoded != 0 || s.Detected != 1 {
 		t.Errorf("bad payload: %+v", s)
 	}
-	if s := ScoreDecodes(run, []rx.Decoded{farAway}, 1); s.Decoded != 0 || s.False != 1 {
+	if s := ScoreDecodes(run, []Decode{farAway}, 1); s.Decoded != 0 || s.False != 1 {
 		t.Errorf("far away: %+v", s)
 	}
 }

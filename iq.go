@@ -36,7 +36,7 @@ func WriteCF32(w io.Writer, iq []complex128) error {
 
 // ReadCF32 reads all IQ samples from a cf32 stream. For long captures
 // prefer CF32Reader, which decodes in caller-sized chunks with constant
-// memory (the cic-decode -stream and cic-feed path).
+// memory (the cic-decode and cic-feed path).
 func ReadCF32(r io.Reader) ([]complex128, error) {
 	cr := NewCF32Reader(r)
 	var out []complex128

@@ -3,10 +3,6 @@ package cic
 import (
 	"fmt"
 
-	"cic/internal/baseline/choir"
-	"cic/internal/baseline/ftrack"
-	"cic/internal/baseline/stdlora"
-	"cic/internal/core"
 	"cic/internal/obs"
 	"cic/internal/rx"
 )
@@ -55,19 +51,6 @@ type receiverOptions struct {
 
 	intercept func(Packet) Packet
 	panicHook func(stage string, recovered any)
-
-	// batchOnly collects the names of applied options that only affect the
-	// batch Receiver. NewReceiver ignores it; NewGateway rejects any option
-	// recorded here rather than silently ignoring it, so a streaming caller
-	// can't believe a knob is in effect when it isn't. Every current option
-	// has a streaming effect; an Option that does not must call
-	// markBatchOnly.
-	batchOnly []string
-}
-
-// markBatchOnly records that the named option has no streaming effect.
-func (o *receiverOptions) markBatchOnly(name string) {
-	o.batchOnly = append(o.batchOnly, name)
 }
 
 // WithAlgorithm selects the decoding algorithm (default AlgorithmCIC).
@@ -75,9 +58,8 @@ func WithAlgorithm(a Algorithm) Option {
 	return func(o *receiverOptions) { o.algo = a }
 }
 
-// WithWorkers sets the decoder worker-pool size (default GOMAXPROCS) for
-// both the batch Receiver and the streaming Gateway. Packets decode
-// independently, so throughput scales with workers.
+// WithWorkers sets the decoder worker-pool size (default GOMAXPROCS).
+// Packets decode independently, so throughput scales with workers.
 func WithWorkers(n int) Option {
 	return func(o *receiverOptions) { o.workers = n }
 }
@@ -100,36 +82,37 @@ func WithoutPowerFilter() Option {
 	return func(o *receiverOptions) { o.disablePowerFilter = true }
 }
 
-// WithDecodeInterceptor installs f on the streaming Gateway's worker
-// output path: every decoded packet passes through f before the reorder
-// stage, so a deployment can filter, annotate or transform packets
-// in-pipeline. f runs on a worker goroutine and must be safe for
-// concurrent calls; a panic inside f is contained by the worker's
-// recovery (the packet is delivered undecoded and the panic hook
-// fires). Batch Receivers ignore the interceptor.
+// WithDecodeInterceptor installs f on the Gateway's worker output path:
+// every decoded packet passes through f before the reorder stage, so a
+// deployment can filter, annotate or transform packets in-pipeline. f
+// runs on a worker goroutine and must be safe for concurrent calls; a
+// panic inside f is contained by the worker's recovery (the packet is
+// delivered undecoded and the panic hook fires). A Receiver's batch
+// decodes run it too.
 func WithDecodeInterceptor(f func(Packet) Packet) Option {
 	return func(o *receiverOptions) { o.intercept = f }
 }
 
-// WithPanicHook installs h as the streaming Gateway's panic observer: a
-// panic recovered on a decode worker (stage "payload") invokes h with
-// the recovered value instead of crashing the process. The packet whose
+// WithPanicHook installs h as the Gateway's panic observer: a panic
+// recovered on a decode worker (stage "payload") invokes h with the
+// recovered value instead of crashing the process. The packet whose
 // decode panicked is delivered undecoded (OK=false) so delivery order
 // is preserved. h runs on the panicking goroutine and must not itself
-// panic. Batch Receivers ignore the hook.
+// panic. A Receiver's batch decodes run it too.
 func WithPanicHook(h func(stage string, recovered any)) Option {
 	return func(o *receiverOptions) { o.panicHook = h }
 }
 
-// Receiver decodes LoRa packets — including collided ones — from raw
-// complex-baseband samples. Receivers are safe for sequential reuse across
-// many buffers; a single Decode call fans work out over the worker pool.
+// Receiver decodes LoRa packets — including collided ones — from whole
+// buffers or sources. Each decode writes the source into a fresh Gateway,
+// closes it and collects what it delivers, so a batch decode and a
+// streaming one are the same decoder. Receivers are safe for sequential
+// reuse across many buffers; one decode fans work out over the worker
+// pool.
 type Receiver struct {
-	cfg  Config
-	opts receiverOptions
-	impl interface {
-		Receive(src rx.SampleSource) ([]rx.Decoded, error)
-	}
+	cfg     Config
+	options []Option
+	opts    receiverOptions
 }
 
 // Stats returns a snapshot of the registry attached with WithMetrics; the
@@ -138,78 +121,82 @@ func (r *Receiver) Stats() Stats { return r.opts.metrics.Snapshot() }
 
 // NewReceiver builds a Receiver for the configuration.
 func NewReceiver(cfg Config, options ...Option) (*Receiver, error) {
-	fc, err := cfg.frameConfig()
+	if _, err := cfg.frameConfig(); err != nil {
+		return nil, err
+	}
+	o, err := newOptions(options)
 	if err != nil {
 		return nil, err
 	}
+	return &Receiver{cfg: cfg, options: options, opts: o}, nil
+}
+
+// newOptions applies options over the defaults and checks the algorithm.
+func newOptions(options []Option) (receiverOptions, error) {
 	o := receiverOptions{algo: AlgorithmCIC}
 	for _, opt := range options {
 		opt(&o)
 	}
-	r := &Receiver{cfg: cfg, opts: o}
-	// One DecodeMetrics handle set serves the detector and every
-	// demodulator; with no WithMetrics registry it is the shared no-op set,
-	// keeping the hot path free of clock reads and allocations.
-	m := obs.NewDecodeMetrics(o.metrics)
-	detOpts := rx.DetectorOptions{Metrics: m}
-	coreOpts := core.Options{
-		DisableSED:         o.disableSED,
-		DisableCFOFilter:   o.disableCFOFilter,
-		DisablePowerFilter: o.disablePowerFilter,
-		Metrics:            m,
-		Tracer:             obs.Tracer(o.tracer),
+	if o.algo == "" {
+		o.algo = AlgorithmCIC
 	}
-	switch o.algo {
-	case AlgorithmCIC, "":
-		r.impl, err = core.NewReceiver(fc, coreOpts, detOpts, o.workers)
-	case AlgorithmStrawman:
-		coreOpts.Strawman = true
-		r.impl, err = core.NewReceiver(fc, coreOpts, detOpts, o.workers)
-	case AlgorithmLoRa:
-		r.impl, err = stdlora.New(fc, detOpts, o.workers)
-	case AlgorithmChoir:
-		r.impl, err = choir.New(fc, choir.Options{}, detOpts, o.workers)
-	case AlgorithmFTrack:
-		r.impl, err = ftrack.New(fc, ftrack.Options{}, detOpts, o.workers)
-	default:
-		return nil, fmt.Errorf("cic: unknown algorithm %q", o.algo)
+	if _, ok := algorithms[o.algo]; !ok {
+		return o, fmt.Errorf("cic: unknown algorithm %q", o.algo)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return r, nil
+	return o, nil
 }
 
 // Algorithm returns the receiver's decoding algorithm.
-func (r *Receiver) Algorithm() Algorithm {
-	if r.opts.algo == "" {
-		return AlgorithmCIC
-	}
-	return r.opts.algo
-}
+func (r *Receiver) Algorithm() Algorithm { return r.opts.algo }
 
 // DecodeBuffer decodes every packet found in an IQ buffer whose first
 // sample has absolute index 0.
 func (r *Receiver) DecodeBuffer(iq []complex128) ([]Packet, error) {
-	return r.DecodeSource(MemorySamples(iq))
+	return r.decode(func(gw *Gateway) error {
+		_, err := gw.Write(iq)
+		return err
+	})
 }
 
-// DecodeSource decodes every packet found in a SampleSource.
+// DecodeSource decodes every packet found in a SampleSource: its samples
+// from index 0 to the end of its span are written into the Gateway.
 func (r *Receiver) DecodeSource(src SampleSource) ([]Packet, error) {
-	results, err := r.impl.Receive(sourceAdapter{src})
+	return r.decode(func(gw *Gateway) error {
+		_, end := src.Span()
+		buf := make([]complex128, max(0, min(end, gw.step)))
+		for off := int64(0); off < end; off += int64(len(buf)) {
+			chunk := buf[:min(int64(len(buf)), end-off)]
+			src.Read(chunk, off)
+			if _, err := gw.Write(chunk); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// decode runs one Gateway over what write feeds it and returns every
+// packet it delivers, in start order.
+func (r *Receiver) decode(write func(*Gateway) error) ([]Packet, error) {
+	gw, err := NewGateway(r.cfg, r.options...)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Packet, 0, len(results))
-	for _, res := range results {
-		out = append(out, Packet{
-			Start:        res.Packet.Start,
-			Payload:      res.Payload,
-			OK:           res.OK(),
-			SNR:          res.Packet.SNRdB,
-			CFO:          res.Packet.CFOHz,
-			FECCorrected: res.FECCorrected,
-		})
+	done := make(chan []Packet, 1)
+	go func() {
+		var out []Packet
+		for p := range gw.Packets() {
+			out = append(out, p)
+		}
+		done <- out
+	}()
+	werr := write(gw)
+	if err := gw.Close(); err != nil {
+		return nil, err
+	}
+	out := <-done
+	if werr != nil {
+		return nil, werr
 	}
 	return out, nil
 }
@@ -219,9 +206,3 @@ func (r *Receiver) DecodeSource(src SampleSource) ([]Packet, error) {
 func MemorySamples(iq []complex128) SampleSource {
 	return &rx.MemorySource{Samples: iq}
 }
-
-// sourceAdapter bridges the public SampleSource to the internal interface.
-type sourceAdapter struct{ s SampleSource }
-
-func (a sourceAdapter) Read(dst []complex128, start int64) { a.s.Read(dst, start) }
-func (a sourceAdapter) Span() (int64, int64)               { return a.s.Span() }

@@ -3,10 +3,10 @@
 #
 #   make decode-parity BASE=<rev>     (or scripts/decode_parity.sh <rev>)
 #
-# Builds cic-gen and cic-decode at <rev> (from a git worktree under
+# Builds cic-gen and cic-decode at <rev> (from a git archive under
 # .bench_build/) and from this checkout, generates the three check
-# captures with each side's cic-gen, decodes each capture in batch,
-# `-stream -workers 1` and `-stream -workers 2 -chunk 1000` mode with each
+# captures with each side's cic-gen, decodes each capture in the default
+# mode, with `-workers 1` and with `-workers 2 -chunk 1000` with each
 # side's cic-decode, and compares every capture and every output with
 # cmp. Exits non-zero on the first difference. A change that claims to
 # leave decoding untouched (a refactor, or an exact-identity speed-up)
@@ -22,17 +22,20 @@ out="$root/.bench_build/parity"
 wt="$out/src-base"
 export GOTOOLCHAIN=local GOPROXY=off GOFLAGS=-mod=mod
 
-if [ -e "$wt" ]; then
-	git worktree remove --force "$wt" 2>/dev/null || rm -rf "$wt"
-fi
 rm -rf "$out"
-mkdir -p "$out"
-git worktree add --detach --quiet "$wt" "$rev"
-trap 'git worktree remove --force "$wt" 2>/dev/null || true' EXIT
+mkdir -p "$wt"
+git archive "$rev" | tar -x -C "$wt"
+trap 'rm -rf "$wt"' EXIT
 
 echo "decode-parity: building base ${rev:0:12} and this checkout"
 (cd "$wt" && go build -o "$out/base/" ./cmd/cic-gen ./cmd/cic-decode)
 go build -o "$out/head/" ./cmd/cic-gen ./cmd/cic-decode
+
+# A base from before cic-decode had a single mode streams with -stream.
+declare -A sideflags=([base]="" [head]="")
+if "$out/base/cic-decode" -h 2>&1 | grep -q -- '-stream'; then
+	sideflags[base]="-stream"
+fi
 
 # name | cic-gen flags | cic-decode flags
 captures=(
@@ -41,9 +44,9 @@ captures=(
 	"sf10-d1-r20-s2|-deployment D1 -rate 20 -seconds 6 -seed 2 -sf 10|-sf 10"
 )
 modes=(
-	"batch|"
-	"stream-w1|-stream -workers 1"
-	"stream-w2-c1000|-stream -workers 2 -chunk 1000"
+	"default|"
+	"w1|-workers 1"
+	"w2-c1000|-workers 2 -chunk 1000"
 )
 
 fail=0
@@ -63,7 +66,7 @@ for c in "${captures[@]}"; do
 		for side in base head; do
 			start=$EPOCHREALTIME
 			# shellcheck disable=SC2086
-			"$out/$side/cic-decode" $dec $mflags -in "$out/$name.base.cf32" \
+			"$out/$side/cic-decode" $dec ${sideflags[$side]} $mflags -in "$out/$name.base.cf32" \
 				>"$out/$name.$mname.$side.out"
 			awk -v a="$start" -v b="$EPOCHREALTIME" -v l="  $name $mname $side" \
 				'BEGIN { printf "%-36s %6.1f s\n", l, b - a }'

@@ -3,7 +3,10 @@
 # experiments-smoke): the committed downscaled config runs the full
 # config → trial matrix → journal → aggregate pipeline in BOTH drive
 # modes, gets killed mid-matrix, resumes from the journal, and must
-# produce byte-identical aggregates to the uninterrupted run.
+# produce byte-identical aggregates to the uninterrupted run. The two
+# drives decode through the same cic.Gateway (in process, and inside the
+# daemon under injected connection faults), so their aggregates must be
+# byte-identical too.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -83,5 +86,7 @@ csv_check "$WORK/gw/smoke_D1.csv"
 journal_check "$WORK/gw.ndjson"
 grep -q '"drive":"gatewayd"' "$WORK/gw.ndjson" || {
     echo "experiments-smoke: FAIL: gatewayd journal lines not marked" >&2; exit 1; }
+cmp "$WORK/ref/smoke_D1.csv" "$WORK/gw/smoke_D1.csv" || {
+    echo "experiments-smoke: FAIL: gatewayd-drive aggregates differ from the in-process drive" >&2; exit 1; }
 
-echo "experiments-smoke: PASS (both drive modes, kill-resume byte-identical)"
+echo "experiments-smoke: PASS (both drive modes identical, kill-resume byte-identical)"

@@ -122,13 +122,13 @@ if [ "$fail" -ne 0 ]; then
     exit 1
 fi
 
-# Cross-check: cic-decode -stream over the same capture from stdin must
-# find the same payloads with constant memory.
-echo "smoke: cross-checking with cic-decode -stream"
-"$tmp/bin/cic-decode" -in - -stream -cr 3 < "$tmp/capture.cf32" > "$tmp/decode.out"
+# Cross-check: cic-decode over the same capture from stdin must find the
+# same payloads with constant memory.
+echo "smoke: cross-checking with cic-decode"
+"$tmp/bin/cic-decode" -in - -cr 3 < "$tmp/capture.cf32" > "$tmp/decode.out"
 while IFS=, read -r _node _start _snr _cfo hex; do
     if ! grep -q "payload=$hex" "$tmp/decode.out"; then
-        echo "smoke: FAIL — cic-decode -stream missed payload $hex"
+        echo "smoke: FAIL — cic-decode missed payload $hex"
         cat "$tmp/decode.out"
         exit 1
     fi

@@ -44,7 +44,7 @@ func run() error {
 		cr        = flag.Int("cr", 1, "coding rate 1..4 (4/5..4/8)")
 		workers   = flag.Int("workers", 0, "decode workers (0 = GOMAXPROCS)")
 		stats     = flag.Bool("stats", false, "print the decode-pipeline metrics snapshot as JSON on stderr")
-		debugAddr = flag.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address while decoding")
+		debugAddr = flag.String("debug-addr", "", "serve /metrics and /debug/pprof on this address while decoding")
 	)
 	flag.Parse()
 	if *in == "" {

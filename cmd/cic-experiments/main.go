@@ -57,7 +57,7 @@ func run() error {
 		outdir     = flag.String("outdir", "", "write figures as CSV files into this directory")
 		svg        = flag.Bool("svg", false, "with -outdir: also write an .svg chart per figure")
 		format     = flag.String("format", "table", "stdout format: table or csv")
-		debugAddr  = flag.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address while running")
+		debugAddr  = flag.String("debug-addr", "", "serve /metrics and /debug/pprof on this address while running")
 	)
 	flag.Parse()
 	if *configPath == "" || flag.NArg() != 0 {
@@ -66,7 +66,7 @@ func run() error {
 	}
 
 	// Sweeps feed the runner's experiment_* metrics into this registry;
-	// -debug-addr exposes it live (plus expvar and pprof) while long
+	// -debug-addr exposes it live (plus pprof) while long
 	// experiments execute.
 	reg := obs.NewRegistry()
 	if *debugAddr != "" {

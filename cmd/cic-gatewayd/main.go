@@ -67,7 +67,7 @@ func run() error {
 		decodeTO    = flag.Duration("decode-timeout", server.DefaultDecodeTimeout, "per-IQ-frame decode admission deadline (-1s = unbounded)")
 		workers     = flag.Int("workers", server.DefaultWorkers(), "decode workers per session")
 		faultSpec   = flag.String("fault-spec", "", "DEV ONLY: inject deterministic connection faults, e.g. \"seed=42;every=2;drop@65536;stall@4096r:50ms\"")
-		debugAddr   = flag.String("debug-addr", "", "serve /metrics, /healthz, /readyz, /debug/flight, /debug/vars and /debug/pprof on this address")
+		debugAddr   = flag.String("debug-addr", "", "serve /metrics, /healthz, /readyz, /debug/flight and /debug/pprof on this address")
 		addrFile    = flag.String("addr-file", "", "write the bound ingestion and pub addresses (one per line) to this file once listening")
 		quiet       = flag.Bool("quiet", false, "suppress per-connection logging")
 		logLevel    = flag.String("log-level", "info", "minimum log level: debug, info, warn or error")

@@ -1,179 +1,83 @@
 // cic-lint is the project's multichecker: it runs every analyzer in
 // internal/lint over the given package patterns (default ./...) and
-// prints one line per finding, exiting non-zero when any invariant is
-// violated. `make lint` runs it as part of the ci gate; docs/LINTING.md
+// prints one `file:line:col: message (analyzer)` line per finding on
+// stdout. `make lint` runs it as part of the ci gate; docs/LINTING.md
 // catalogues the analyzers and the invariants they enforce.
 //
 // Usage:
 //
-//	cic-lint [flags] [packages]
+//	cic-lint [-list] [-v] [packages]
 //
-//	-list              print the analyzer catalogue (with -json: as JSON)
-//	-json              emit findings as a JSON array
-//	-sarif             emit findings as SARIF 2.1.0 on stdout
-//	-sarif-file path   also write the SARIF log to path
-//	-baseline path     suppression file (default lint.baseline)
-//	-update-baseline   rewrite the baseline from the current findings
-//	-workers n         type-checking workers (0 = GOMAXPROCS)
-//	-v                 per-analyzer timing on stderr
+//	-list   print the analyzer catalogue, then exit
+//	-v      per-analyzer timing on stderr
 //
-// Findings matched by the baseline are suppressed; baseline entries no
-// finding matches are reported as stale so dead suppressions cannot
-// accumulate. Exit status: 0 clean, 1 findings, 2 operational error.
+// Exit status: 0 clean, 1 findings, 2 operational error.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"cic/internal/lint"
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
-	var (
-		list           = flag.Bool("list", false, "list the analyzers and their invariants, then exit")
-		jsonOut        = flag.Bool("json", false, "emit findings (or, with -list, the catalogue) as JSON")
-		sarifOut       = flag.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log on stdout")
-		sarifFile      = flag.String("sarif-file", "", "also write the SARIF 2.1.0 log to this path")
-		baselinePath   = flag.String("baseline", "lint.baseline", "suppression file for grandfathered findings")
-		updateBaseline = flag.Bool("update-baseline", false, "rewrite -baseline from the current findings and exit")
-		workers        = flag.Int("workers", 0, "concurrent type-checking workers (0 = GOMAXPROCS)")
-		verbose        = flag.Bool("v", false, "print per-analyzer timing on stderr")
-	)
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: cic-lint [flags] [packages]\n\n")
-		fmt.Fprintf(os.Stderr, "Runs cic's invariant analyzers over the given package patterns\n")
-		fmt.Fprintf(os.Stderr, "(default ./...). Exits 1 when any diagnostic is reported.\n\n")
-		flag.PrintDefaults()
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("cic-lint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	list := fs.Bool("list", false, "list the analyzers and their invariants, then exit")
+	verbose := fs.Bool("v", false, "print per-analyzer timing on stderr")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: cic-lint [-list] [-v] [packages]\n\n")
+		fmt.Fprintf(stderr, "Runs cic's invariant analyzers over the given package patterns\n")
+		fmt.Fprintf(stderr, "(default ./...). Exits 1 when any diagnostic is reported.\n\n")
+		fs.PrintDefaults()
 	}
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if *list {
-		if *jsonOut {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(lint.Catalogue()); err != nil {
-				fmt.Fprintf(os.Stderr, "cic-lint: %v\n", err)
-				return 2
-			}
-			return 0
-		}
 		for _, a := range lint.All() {
-			fmt.Printf("%-14s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stdout, "%-14s %s\n", a.Name, a.Doc)
 		}
 		return 0
 	}
 
-	patterns := flag.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	pkgs, err := lint.LoadWith(lint.LoadOptions{Workers: *workers}, ".", patterns...)
+	pkgs, err := lint.Load(".", fs.Args()...)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "cic-lint: %v\n", err)
+		fmt.Fprintf(stderr, "cic-lint: %v\n", err)
 		return 2
 	}
 	diags, timings, err := lint.RunTimed(pkgs, lint.All())
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "cic-lint: %v\n", err)
+		fmt.Fprintf(stderr, "cic-lint: %v\n", err)
 		return 2
 	}
 	if *verbose {
 		for _, t := range timings {
-			fmt.Fprintf(os.Stderr, "cic-lint: %-14s %8.1fms\n", t.Name, float64(t.Elapsed.Microseconds())/1000)
+			fmt.Fprintf(stderr, "cic-lint: %-14s %8.1fms\n", t.Name, float64(t.Elapsed.Microseconds())/1000)
 		}
 	}
 
 	cwd, _ := os.Getwd()
-	rel := func(filename string) string {
-		if cwd != "" {
-			if r, err := filepath.Rel(cwd, filename); err == nil && !filepath.IsAbs(r) && r != ".." && !hasDotDotPrefix(r) {
-				return filepath.ToSlash(r)
-			}
+	for _, d := range diags {
+		if r, err := filepath.Rel(cwd, d.Pos.Filename); err == nil && r != ".." && !strings.HasPrefix(r, ".."+string(filepath.Separator)) {
+			d.Pos.Filename = r
 		}
-		return filepath.ToSlash(filename)
+		d.Pos.Filename = filepath.ToSlash(d.Pos.Filename)
+		fmt.Fprintln(stdout, d)
 	}
-
-	if *updateBaseline {
-		if err := os.WriteFile(*baselinePath, lint.FormatBaseline(diags, rel), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "cic-lint: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(os.Stderr, "cic-lint: wrote %d entr(ies) to %s — justify each before committing\n", len(diags), *baselinePath)
-		return 0
-	}
-
-	base, err := lint.LoadBaseline(*baselinePath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cic-lint: %v\n", err)
-		return 2
-	}
-	kept, suppressed := base.Apply(diags, rel)
-	for _, stale := range base.Stale() {
-		fmt.Fprintf(os.Stderr, "cic-lint: stale baseline entry (finding is gone — delete it): %s\n", stale)
-	}
-
-	var sarifBytes []byte
-	if *sarifOut || *sarifFile != "" {
-		sarifBytes, err = lint.SARIF(lint.All(), kept, rel)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cic-lint: %v\n", err)
-			return 2
-		}
-	}
-	if *sarifFile != "" {
-		if err := os.WriteFile(*sarifFile, append(sarifBytes, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "cic-lint: %v\n", err)
-			return 2
-		}
-	}
-
-	switch {
-	case *sarifOut:
-		os.Stdout.Write(append(sarifBytes, '\n'))
-	case *jsonOut:
-		type finding struct {
-			Analyzer string `json:"analyzer"`
-			File     string `json:"file"`
-			Line     int    `json:"line"`
-			Column   int    `json:"column"`
-			Message  string `json:"message"`
-		}
-		out := make([]finding, 0, len(kept))
-		for _, d := range kept {
-			out = append(out, finding{Analyzer: d.Analyzer, File: rel(d.Pos.Filename), Line: d.Pos.Line, Column: d.Pos.Column, Message: d.Message})
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintf(os.Stderr, "cic-lint: %v\n", err)
-			return 2
-		}
-	default:
-		for _, d := range kept {
-			pos := d.Pos
-			pos.Filename = rel(pos.Filename)
-			fmt.Printf("%s: %s (%s)\n", pos, d.Message, d.Analyzer)
-		}
-	}
-
-	if suppressed > 0 {
-		fmt.Fprintf(os.Stderr, "cic-lint: %d finding(s) suppressed by %s\n", suppressed, *baselinePath)
-	}
-	if len(kept) > 0 {
-		fmt.Fprintf(os.Stderr, "cic-lint: %d invariant violation(s) in %d package(s)\n", len(kept), len(pkgs))
+	if len(diags) > 0 {
+		fmt.Fprintf(stderr, "cic-lint: %d invariant violation(s) in %d package(s)\n", len(diags), len(pkgs))
 		return 1
 	}
 	return 0
-}
-
-func hasDotDotPrefix(p string) bool {
-	return p == ".." || len(p) > 2 && p[:3] == ".."+string(filepath.Separator)
 }

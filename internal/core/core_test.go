@@ -124,9 +124,7 @@ var (
 func TestOptionsDefaults(t *testing.T) {
 	var o Options
 	o.setDefaults()
-	if o.SEDWindows != 10 || o.CFOZoom != 16 || o.PowerToleranceDB != 3 ||
-		o.CFOToleranceBins != 0.25 || o.MaxCandidates != 8 || o.MaxBoundaries != 16 ||
-		o.CandidateFraction != 0.1 || o.MinSubSymbolFrac != 1.0/32 {
+	if o.SEDWindows != 10 || o.Metrics == nil {
 		t.Errorf("defaults wrong: %+v", o)
 	}
 }

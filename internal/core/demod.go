@@ -62,11 +62,10 @@ func NewDemodulator(cfg frame.Config, opts Options) (*Demodulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Candidate scratch is pre-sized to the configured caps so a fresh
-	// demodulator's first symbols don't pay warm-up growth on the hot path
-	// (the caps bound every append below; growth remains possible but is
-	// not expected).
-	mc := opts.MaxCandidates
+	// Candidate scratch is pre-sized to the caps so a fresh demodulator's
+	// first symbols don't pay warm-up growth on the hot path (the caps
+	// bound every append below; growth remains possible but is not
+	// expected).
 	return &Demodulator{
 		cfg:      cfg,
 		opts:     opts,
@@ -77,20 +76,17 @@ func NewDemodulator(cfg frame.Config, opts Options) (*Demodulator, error) {
 		fullX:    make([]complex128, m),
 		splitX:   make([]complex128, m),
 		probe:    probe,
-		boundsB:  make([]int, 0, 4*opts.MaxBoundaries),
-		peaksBuf: make([]dsp.Peak, 0, mc),
-		candBuf:  make([]Candidate, 0, mc),
-		cfoBuf:   make([]Candidate, 0, mc),
-		powBuf:   make([]Candidate, 0, mc),
-		gateBuf:  make([]Candidate, 0, mc),
+		boundsB:  make([]int, 0, 4*maxBoundaries),
+		peaksBuf: make([]dsp.Peak, 0, maxCandidates),
+		candBuf:  make([]Candidate, 0, maxCandidates),
+		cfoBuf:   make([]Candidate, 0, maxCandidates),
+		powBuf:   make([]Candidate, 0, maxCandidates),
+		gateBuf:  make([]Candidate, 0, maxCandidates),
 		tonesBuf: make([]float64, 0, 16),
 		sigsBuf:  make([]float64, 0, 16),
 		altBuf:   make([]uint16, 0, 8),
 	}, nil
 }
-
-// Options returns the demodulator's options.
-func (dm *Demodulator) Options() Options { return dm.opts }
 
 // TakeGateTally returns the gate verdicts accumulated since the previous
 // call and resets the tally. The gateway, which decodes one packet per
@@ -190,8 +186,8 @@ func (dm *Demodulator) CollectBoundaries(winStart int64, others []*rx.Packet) []
 			merged = append(merged, b)
 		}
 	}
-	if len(merged) > dm.opts.MaxBoundaries {
-		merged = merged[:dm.opts.MaxBoundaries]
+	if len(merged) > maxBoundaries {
+		merged = merged[:maxBoundaries]
 	}
 	return merged
 }
@@ -460,7 +456,7 @@ func (dm *Demodulator) excludeInterfererSignatures(cands []Candidate, pkt *rx.Pa
 		if s, ok := InterfererSignature(dm.cfg, pkt, q, winStart); ok {
 			// Signatures indistinguishable from our own grid cannot be
 			// used for exclusion.
-			if math.Abs(s) > 2*dm.opts.CFOToleranceBins {
+			if math.Abs(s) > 2*cfoToleranceBins {
 				sigs = append(sigs, s)
 			}
 		}
@@ -473,9 +469,9 @@ func (dm *Demodulator) excludeInterfererSignatures(cands []Candidate, pkt *rx.Pa
 	kept := cands[:0]
 	for _, c := range cands {
 		hit := false
-		if math.Abs(c.FracBins) > dm.opts.CFOToleranceBins {
+		if math.Abs(c.FracBins) > cfoToleranceBins {
 			for _, s := range sigs {
-				if math.Abs(dsp.WrapToHalf(c.FracBins-s, 0.5)) < dm.opts.CFOToleranceBins/2 {
+				if math.Abs(dsp.WrapToHalf(c.FracBins-s, 0.5)) < cfoToleranceBins/2 {
 					hit = true
 					break
 				}
@@ -515,7 +511,7 @@ func (dm *Demodulator) intersectICSS(bounds []int) dsp.Spectrum {
 	copy(dm.acc, dm.full)
 	dm.acc.Normalize()
 
-	minSpan := int(dm.opts.MinSubSymbolFrac * float64(m))
+	minSpan := int(minSubSymbolFrac * float64(m))
 	nSub := 0
 	if dm.opts.Strawman {
 		// Strawman ICSS: {r_{1→2}, r_{N→N+1}} only.
@@ -574,14 +570,14 @@ func (dm *Demodulator) intersectSplit(b, minSpan int, pre, suf bool) int {
 //
 //cic:hotpath
 func (dm *Demodulator) candidates(spec dsp.Spectrum) []Candidate {
-	dm.peaksBuf = dsp.AppendTopPeaks(dm.peaksBuf[:0], spec, dm.opts.CandidateFraction, dm.opts.MaxCandidates)
+	dm.peaksBuf = dsp.AppendTopPeaks(dm.peaksBuf[:0], spec, candidateFraction, maxCandidates)
 	peaks := dm.peaksBuf
 	cands := dm.candBuf[:0]
 	m := dm.cfg.Chirp.SamplesPerSymbol()
 	n := dm.cfg.Chirp.ChipCount()
 	osr := dm.cfg.Chirp.OSR
 	dech := dm.d.Dechirped()
-	zoom := max(dm.opts.CFOZoom, 1)
+	zoom := cfoZoom
 	steps := int(1.2 * float64(zoom))
 	for _, p := range peaks {
 		c := Candidate{Bin: p.Bin, Power: p.Power}
@@ -740,7 +736,7 @@ func (dm *Demodulator) filterCFO(cands []Candidate) []Candidate {
 	// input set afterwards, so the input must survive this filter.
 	out := dm.cfoBuf[:0]
 	for _, c := range cands {
-		if math.Abs(c.FracBins) <= dm.opts.CFOToleranceBins {
+		if math.Abs(c.FracBins) <= cfoToleranceBins {
 			out = append(out, c)
 		}
 	}
@@ -749,7 +745,7 @@ func (dm *Demodulator) filterCFO(cands []Candidate) []Candidate {
 }
 
 // filterPower keeps candidates whose full-spectrum peak amplitude is within
-// PowerToleranceDB of the packet's preamble-estimated amplitude.
+// powerToleranceDB of the packet's preamble-estimated amplitude.
 //
 //cic:hotpath
 func (dm *Demodulator) filterPower(cands []Candidate, pkt *rx.Packet) []Candidate {
@@ -762,7 +758,7 @@ func (dm *Demodulator) filterPower(cands []Candidate, pkt *rx.Packet) []Candidat
 			continue
 		}
 		dev := math.Abs(20 * math.Log10(c.FullAmp/pkt.PeakAmp))
-		if dev <= dm.opts.PowerToleranceDB {
+		if dev <= powerToleranceDB {
 			out = append(out, c)
 		}
 	}
@@ -834,11 +830,11 @@ func (dm *Demodulator) candidateScore(c Candidate, lh, rh float64) float64 {
 	}
 	score := sedRel
 	if !dm.opts.DisableCFOFilter {
-		score += 0.5 * math.Abs(c.FracBins) / dm.opts.CFOToleranceBins
+		score += 0.5 * math.Abs(c.FracBins) / cfoToleranceBins
 	}
 	if !dm.opts.DisablePowerFilter && c.FullAmp > 0 && dm.refAmp > 0 {
 		dev := math.Abs(20 * math.Log10(c.FullAmp/dm.refAmp))
-		score += 0.5 * dev / dm.opts.PowerToleranceDB
+		score += 0.5 * dev / powerToleranceDB
 	}
 	return score
 }

@@ -228,7 +228,7 @@ func fieldRootedVars(info *types.Info, fn *ast.FuncDecl, recvObj types.Object) (
 
 // arenaFieldRooted reports whether the expression's storage root is a
 // field of the receiver (directly or through a variable in the rooted
-// set). Unlike hotalloc's arenaRooted, call results and parameters do
+// set). Unlike hotpropagate's arenaRooted, call results and parameters do
 // not count — only the receiver's own arena matters for escapes.
 func arenaFieldRooted(info *types.Info, e ast.Expr, recvObj types.Object, rooted map[types.Object]bool) bool {
 	for {

@@ -10,8 +10,8 @@ import (
 	"cic/internal/lint"
 )
 
-// TestAnalyzersDocumented cross-checks the machine catalogue
-// (`cic-lint -list -json`, lint.Catalogue) against the analyzer table
+// TestAnalyzersDocumented cross-checks the analyzer suite
+// (`cic-lint -list`, lint.All) against the analyzer table
 // in docs/LINTING.md, the same doc-sync pattern TestMetricsDocumented
 // uses for the metrics reference: every analyzer must have a table row,
 // every table row must name a real analyzer, and the count the prose
@@ -33,18 +33,18 @@ func TestAnalyzersDocumented(t *testing.T) {
 		documented[m[1]] = true
 	}
 
-	catalogue := lint.Catalogue()
-	for _, info := range catalogue {
-		if info.Doc == "" {
-			t.Errorf("analyzer %q has an empty Doc string", info.Name)
+	suite := lint.All()
+	for _, a := range suite {
+		if a.Doc == "" {
+			t.Errorf("analyzer %q has an empty Doc string", a.Name)
 		}
-		if !documented[info.Name] {
-			t.Errorf("analyzer %q has no row in the docs/LINTING.md catalogue table", info.Name)
+		if !documented[a.Name] {
+			t.Errorf("analyzer %q has no row in the docs/LINTING.md catalogue table", a.Name)
 		}
-		delete(documented, info.Name)
+		delete(documented, a.Name)
 	}
 	for name := range documented {
-		t.Errorf("docs/LINTING.md documents %q, which is not in lint.Catalogue()", name)
+		t.Errorf("docs/LINTING.md documents %q, which is not in lint.All()", name)
 	}
 
 	countRE := regexp.MustCompile(`\((\w+) analyzers`)
@@ -53,7 +53,7 @@ func TestAnalyzersDocumented(t *testing.T) {
 		t.Fatalf("docs/LINTING.md no longer states the analyzer count in its intro")
 	}
 	words := map[int]string{7: "seven", 8: "eight", 9: "nine", 10: "ten", 11: "eleven", 12: "twelve", 13: "thirteen", 14: "fourteen", 15: "fifteen"}
-	if want := words[len(catalogue)]; want != "" && !strings.EqualFold(m[1], want) {
-		t.Errorf("docs/LINTING.md intro says %q analyzers; the suite has %d (%q)", m[1], len(catalogue), want)
+	if want := words[len(suite)]; want != "" && !strings.EqualFold(m[1], want) {
+		t.Errorf("docs/LINTING.md intro says %q analyzers; the suite has %d (%q)", m[1], len(suite), want)
 	}
 }

@@ -121,7 +121,6 @@ func All() []*Analyzer {
 		ClockInject,
 		ErrWrap,
 		GoroutineLeak,
-		HotAlloc,
 		HotPropagate,
 		LockDiscipline,
 		NilSafeObs,

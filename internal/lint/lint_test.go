@@ -36,7 +36,7 @@ func TestBoundedAllocFixture(t *testing.T) {
 }
 
 func TestHotAllocFixture(t *testing.T) {
-	linttest.RunFixture(t, lint.HotAlloc, "testdata/hotalloc")
+	linttest.RunFixture(t, lint.HotPropagate, "testdata/hotalloc")
 }
 
 func TestHotPropagateFixture(t *testing.T) {
@@ -64,7 +64,7 @@ func TestScopedAnalyzersSkipForeignPackages(t *testing.T) {
 	linttest.RunFixture(t, lint.ClockInject, "testdata/outofscope")
 	linttest.RunFixture(t, lint.BoundedAlloc, "testdata/outofscope")
 	linttest.RunFixture(t, lint.NilSafeObs, "testdata/outofscope")
-	linttest.RunFixture(t, lint.HotAlloc, "testdata/outofscope")
+	linttest.RunFixture(t, lint.HotPropagate, "testdata/outofscope")
 	linttest.RunFixture(t, lint.GoroutineLeak, "testdata/outofscope")
 	linttest.RunFixture(t, lint.LockDiscipline, "testdata/outofscope")
 	linttest.RunFixture(t, lint.ArenaEscape, "testdata/outofscope")

@@ -3,7 +3,6 @@ package lint_test
 import (
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"cic/internal/lint"
@@ -11,14 +10,12 @@ import (
 
 // TestModuleIsLintClean runs the full multichecker suite over the real
 // module — the same analysis `make lint` (cmd/cic-lint ./...) performs —
-// and asserts zero unsuppressed diagnostics. Reintroducing a panic on
-// the decode path, an unguarded obs method, an unbounded wire
-// allocation, a == sentinel comparison, a raw 64-bit atomic, a direct
-// clock read in stage code, a leakable goroutine, a lock held across a
-// channel op, or an escaping arena slice therefore fails `go test
-// ./...`, not just `make lint`. Findings listed in the checked-in
-// lint.baseline are suppressed exactly like the driver does; stale
-// baseline entries fail too, so dead suppressions cannot accumulate.
+// and asserts zero diagnostics. Reintroducing a panic on the decode
+// path, an unguarded obs method, an unbounded wire allocation, a ==
+// sentinel comparison, a raw 64-bit atomic, a direct clock read in stage
+// code, a hot-path allocation, a leakable goroutine, a lock held across
+// a channel op, or an escaping arena slice therefore fails `go test
+// ./...`, not just `make lint`.
 func TestModuleIsLintClean(t *testing.T) {
 	pkgs, err := lint.Load(".", "cic/...")
 	if err != nil {
@@ -31,57 +28,8 @@ func TestModuleIsLintClean(t *testing.T) {
 	if err != nil {
 		t.Fatalf("running analyzers: %v", err)
 	}
-	root := moduleRoot(t)
-	base, err := lint.LoadBaseline(filepath.Join(root, "lint.baseline"))
-	if err != nil {
-		t.Fatalf("loading baseline: %v", err)
-	}
-	rel := func(filename string) string {
-		if r, err := filepath.Rel(root, filename); err == nil && !strings.HasPrefix(r, "..") {
-			return filepath.ToSlash(r)
-		}
-		return filepath.ToSlash(filename)
-	}
-	kept, _ := base.Apply(diags, rel)
-	for _, d := range kept {
+	for _, d := range diags {
 		t.Errorf("%s", d)
-	}
-	for _, stale := range base.Stale() {
-		t.Errorf("stale lint.baseline entry (finding is gone — delete it): %s", stale)
-	}
-}
-
-// TestBaselineEntriesJustified pins the baseline hygiene rule from
-// docs/LINTING.md: the checked-in lint.baseline is either empty or
-// every entry line is immediately preceded by a '#' justification
-// comment (and no generated TODO placeholder survives a commit).
-func TestBaselineEntriesJustified(t *testing.T) {
-	root := moduleRoot(t)
-	data, err := os.ReadFile(filepath.Join(root, "lint.baseline"))
-	if err != nil {
-		t.Fatalf("reading lint.baseline: %v", err)
-	}
-	if _, err := lint.ParseBaseline(strings.NewReader(string(data))); err != nil {
-		t.Fatalf("parsing lint.baseline: %v", err)
-	}
-	lines := strings.Split(string(data), "\n")
-	prevComment := false
-	for i, raw := range lines {
-		line := strings.TrimSpace(raw)
-		switch {
-		case line == "":
-			prevComment = false
-		case strings.HasPrefix(line, "#"):
-			if strings.Contains(line, "TODO(justify)") {
-				t.Errorf("lint.baseline:%d: placeholder justification left in place — explain why the finding is suppressed", i+1)
-			}
-			prevComment = true
-		default:
-			if !prevComment {
-				t.Errorf("lint.baseline:%d: entry has no justification comment on the line above it", i+1)
-			}
-			prevComment = false
-		}
 	}
 }
 

@@ -1,8 +1,10 @@
-// Package fixture exercises the hotalloc analyzer: functions marked
-// //cic:hotpath must not call make/new and may append only into
-// arena-rooted slices (struct fields, parameters, callee-returned
-// scratch); //cic:alloc-ok waives a line.
-package fixture
+// Package rx exercises the hotpropagate analyzer on the //cic:hotpath
+// roots themselves: a root carries the allocation contract directly —
+// no make/new, and append only into arena-rooted slices (struct fields,
+// parameters, callee-returned scratch); //cic:alloc-ok waives a line.
+// The roots are exported so the stale-annotation check (no caller in
+// the loaded program) leaves them alone.
+package rx
 
 type demod struct {
 	scratch []float64
@@ -21,64 +23,64 @@ func coldPath(n int) []float64 {
 	return out
 }
 
-// hotMake allocates fresh storage every call.
+// HotMake allocates fresh storage every call.
 //
 //cic:hotpath
-func hotMake(n int) []float64 {
-	out := make([]float64, n) // want `make\(\) in hot-path function hotMake`
+func HotMake(n int) []float64 {
+	out := make([]float64, n) // want `make\(\) in hot-path function HotMake`
 	return out
 }
 
-// hotNew heap-allocates every call.
+// HotNew heap-allocates every call.
 //
 //cic:hotpath
-func hotNew() *demod {
-	return new(demod) // want `new\(\) in hot-path function hotNew`
+func HotNew() *demod {
+	return new(demod) // want `new\(\) in hot-path function HotNew`
 }
 
-// hotAppendFresh grows a slice rooted in nothing: every warm call may
+// HotAppendFresh grows a slice rooted in nothing: every warm call may
 // reallocate.
 //
 //cic:hotpath
-func hotAppendFresh(n int) []int {
+func HotAppendFresh(n int) []int {
 	var out []int
 	for i := 0; i < n; i++ {
-		out = append(out, i) // want `append into non-arena slice in hot-path function hotAppendFresh`
+		out = append(out, i) // want `append into non-arena slice in hot-path function HotAppendFresh`
 	}
 	return out
 }
 
-// hotAppendFromMake roots the destination in a make: both sites are
+// HotAppendFromMake roots the destination in a make: both sites are
 // wrong, and each is reported where it happens.
 //
 //cic:hotpath
-func hotAppendFromMake(n int) []int {
-	out := make([]int, 0) // want `make\(\) in hot-path function hotAppendFromMake`
-	return append(out, n) // want `append into non-arena slice in hot-path function hotAppendFromMake`
+func HotAppendFromMake(n int) []int {
+	out := make([]int, 0) // want `make\(\) in hot-path function HotAppendFromMake`
+	return append(out, n) // want `append into non-arena slice in hot-path function HotAppendFromMake`
 }
 
-// hotWaived shows the escape hatch: the result genuinely escapes, so the
+// HotWaived shows the escape hatch: the result genuinely escapes, so the
 // allocation is sanctioned inline.
 //
 //cic:hotpath
-func hotWaived() *demod {
+func HotWaived() *demod {
 	d := new(demod) //cic:alloc-ok — the accepted result escapes to the caller
 	return d
 }
 
-// hotFieldAppend grows struct-field scratch directly: allowed (grows once
+// HotFieldAppend grows struct-field scratch directly: allowed (grows once
 // at warm-up, reused thereafter).
 //
 //cic:hotpath
-func (d *demod) hotFieldAppend(v int) {
+func (d *demod) HotFieldAppend(v int) {
 	d.peaks = append(d.peaks, v)
 }
 
-// hotFieldRootedLocal uses the save-back arena idiom: the local is rooted
+// HotFieldRootedLocal uses the save-back arena idiom: the local is rooted
 // in a field slice expression, so appends through it are allowed.
 //
 //cic:hotpath
-func (d *demod) hotFieldRootedLocal(vals []float64) {
+func (d *demod) HotFieldRootedLocal(vals []float64) {
 	buf := d.scratch[:0]
 	for _, v := range vals {
 		buf = append(buf, v)
@@ -86,59 +88,61 @@ func (d *demod) hotFieldRootedLocal(vals []float64) {
 	d.scratch = buf
 }
 
-// hotParamAppend implements the dst-reuse idiom: the caller owns the
+// HotParamAppend implements the dst-reuse idiom: the caller owns the
 // storage, so growing it is the caller's decision.
 //
 //cic:hotpath
-func hotParamAppend(dst []int, n int) []int {
+func HotParamAppend(dst []int, n int) []int {
 	for i := 0; i < n; i++ {
 		dst = append(dst, i)
 	}
 	return dst
 }
 
-// hotCalleeScratch appends into a callee-returned slice: the callee may
+// HotCalleeScratch appends into a callee-returned slice: the callee may
 // hand out reusable scratch, so this is trusted.
 //
 //cic:hotpath
-func (d *demod) hotCalleeScratch(v float64) {
+func (d *demod) HotCalleeScratch(v float64) {
 	buf := append(d.arena(), v)
 	d.scratch = buf
 }
 
-// hotClosure checks that allocation sites inside closures of a hot-path
+// HotClosure checks that allocation sites inside closures of a hot-path
 // function are still scanned, and that captured rooted locals stay rooted.
+// The closure's func(int, int) shape matches no function of this package,
+// so the func-value call adds no call edge to another function here.
 //
 //cic:hotpath
-func (d *demod) hotClosure(vals []int) {
+func (d *demod) HotClosure(vals []int) {
 	out := d.peaks[:0]
-	add := func(v int) {
+	add := func(_, v int) {
 		out = append(out, v)
-		tmp := make([]int, 1) // want `make\(\) in hot-path function hotClosure`
+		tmp := make([]int, 1) // want `make\(\) in hot-path function HotClosure`
 		_ = tmp
 	}
-	for _, v := range vals {
-		add(v)
+	for i, v := range vals {
+		add(i, v)
 	}
 	d.peaks = out
 }
 
-// hotMultiSiteWaiver pins the waiver's line granularity: one
+// HotMultiSiteWaiver pins the waiver's line granularity: one
 // //cic:alloc-ok covers every allocation site on its line, here two
 // makes in a single assignment.
 //
 //cic:hotpath
-func hotMultiSiteWaiver() ([]float64, []float64) {
+func HotMultiSiteWaiver() ([]float64, []float64) {
 	a, b := make([]float64, 4), make([]float64, 4) //cic:alloc-ok — both escape; one waiver spans the whole line
 	return a, b
 }
 
-// hotStaleWaiver carries a waiver on a line that neither allocates nor
+// HotStaleWaiver carries a waiver on a line that neither allocates nor
 // escapes: the waiver is dead weight and must be reported so it cannot
 // mask a future allocation added to the same line.
 //
 //cic:hotpath
-func hotStaleWaiver(n int) int {
-	n++ //cic:alloc-ok — nothing here allocates: want `stale //cic:alloc-ok waiver in hot-path function hotStaleWaiver`
+func HotStaleWaiver(n int) int {
+	n++ //cic:alloc-ok — nothing here allocates: want `stale //cic:alloc-ok waiver in hot-path function HotStaleWaiver`
 	return n
 }

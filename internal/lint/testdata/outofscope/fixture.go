@@ -1,7 +1,7 @@
 // Package helper sits outside every scoped analyzer's package set: the
 // would-be violations below must NOT be reported by nopanic,
 // clockinject, boundedalloc, nilsafeobs, goroutineleak, lockdiscipline,
-// or arenaescape — and hotalloc, which scopes by //cic:hotpath marker
+// or arenaescape — and hotpropagate, which scopes by //cic:hotpath marker
 // rather than by package, must stay silent on the unannotated
 // allocators here. (No want comments: the harness asserts zero
 // diagnostics.)

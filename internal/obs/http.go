@@ -2,12 +2,9 @@ package obs
 
 import (
 	"encoding/json"
-	"expvar"
-	"fmt"
 	"net/http"
 	"net/http/pprof"
 	"strings"
-	"sync"
 )
 
 // ServeHTTP serves the registry snapshot, making *Registry an
@@ -75,47 +72,17 @@ func wantsPrometheus(req *http.Request) bool {
 	return false
 }
 
-// expvar publication is process-global and expvar.Publish panics on a
-// duplicate name, so DebugMux assigns each distinct registry a unique
-// name: the first is "cic", later ones "cic_1", "cic_2", … Remounting
-// the same registry reuses its existing name.
-var (
-	expvarMu    sync.Mutex
-	expvarNames = map[*Registry]string{}
-)
-
-// expvarName publishes r (once) and returns its /debug/vars key.
-func expvarName(r *Registry) string {
-	expvarMu.Lock()
-	defer expvarMu.Unlock()
-	if name, ok := expvarNames[r]; ok {
-		return name
-	}
-	name := "cic"
-	if n := len(expvarNames); n > 0 {
-		name = fmt.Sprintf("cic_%d", n)
-	}
-	expvarNames[r] = name
-	expvar.Publish(name, expvar.Func(func() any { return r.Snapshot() }))
-	return name
-}
-
 // DebugMux returns the ops endpoint for an instrumented process:
 //
 //	/metrics          registry snapshot (JSON or Prometheus text, see
 //	                  Registry.ServeHTTP)
-//	/debug/vars       expvar (includes the registry under "cic" — or
-//	                  "cic_N" for additional registries in the same
-//	                  process — plus memstats and cmdline)
 //	/debug/flight     flight-recorder dump, when a recorder is passed
 //	/debug/pprof/...  net/http/pprof profiles
 //
 // Mount it on a private port (the cmd tools' -debug-addr flag).
 func DebugMux(r *Registry, flight ...*FlightRecorder) *http.ServeMux {
-	expvarName(r)
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", r)
-	mux.Handle("/debug/vars", expvar.Handler())
 	for _, f := range flight {
 		if f != nil {
 			mux.Handle("/debug/flight", f)

@@ -105,47 +105,6 @@ func TestMetricsContentNegotiation(t *testing.T) {
 	}
 }
 
-// TestDebugMuxTwoRegistries: a second registry is published under its
-// own expvar name instead of being silently shadowed by the first.
-func TestDebugMuxTwoRegistries(t *testing.T) {
-	r1 := NewRegistry()
-	r1.Counter("first_only").Add(1)
-	r2 := NewRegistry()
-	r2.Counter("second_only").Add(2)
-
-	name1, name2 := expvarName(r1), expvarName(r2)
-	if name1 == name2 {
-		t.Fatalf("two registries share expvar name %q", name1)
-	}
-	if again := expvarName(r1); again != name1 {
-		t.Errorf("remount renamed registry: %q vs %q", again, name1)
-	}
-
-	srv := httptest.NewServer(DebugMux(r2))
-	defer srv.Close()
-	resp, err := srv.Client().Get(srv.URL + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	var vars map[string]json.RawMessage
-	if err := json.Unmarshal(body, &vars); err != nil {
-		t.Fatalf("/debug/vars not JSON: %v", err)
-	}
-	raw, ok := vars[name2]
-	if !ok {
-		t.Fatalf("/debug/vars missing %q (keys: %d)", name2, len(vars))
-	}
-	var snap Snapshot
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		t.Fatal(err)
-	}
-	if snap.Counters["second_only"] != 2 {
-		t.Errorf("second registry snapshot = %v", snap.Counters)
-	}
-}
-
 // TestDebugMuxFlight: the flight recorder mounts at /debug/flight.
 func TestDebugMuxFlight(t *testing.T) {
 	r := NewRegistry()

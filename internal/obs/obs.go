@@ -1,7 +1,7 @@
 // Package obs provides the decode pipeline's observability primitives:
 // lock-free counters, gauges and fixed-bucket histograms behind a Registry
 // with a deterministic JSON Snapshot, a structured decode-event tracer, and
-// an HTTP debug surface (/metrics, /debug/vars, /debug/pprof).
+// an HTTP debug surface (/metrics, /debug/flight, /debug/pprof).
 //
 // Every metric operation is nil-safe: a *Counter, *Gauge or *Histogram
 // obtained from a nil *Registry is nil, and operations on it are no-ops

@@ -58,7 +58,7 @@ func NewFlightRecorder(size int) *FlightRecorder { return obs.NewFlightRecorder(
 
 // DebugHandler returns the ops endpoint for an instrumented process:
 // /metrics (JSON snapshot or Prometheus text exposition, content
-// negotiated), /debug/vars (expvar) and /debug/pprof. Pass a flight
+// negotiated) and /debug/pprof. Pass a flight
 // recorder to additionally mount /debug/flight. Mount it on a private
 // listener (the cmd tools expose it behind -debug-addr).
 func DebugHandler(m *Metrics, flight ...*FlightRecorder) http.Handler {

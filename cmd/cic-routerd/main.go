@@ -1,11 +1,12 @@
-// Command cic-routerd is the CIC fleet frontend: it speaks the same v2
-// wire protocol as cic-gatewayd, consistently hashes each station onto
-// one of a configured set of gatewayd backends, and proxies the session
-// upstream. The fleet is self-healing — per-backend health probes and
-// circuit breakers, failover that replays a failed session onto a
-// replacement shard via RESUME, per-shard overload shedding with
-// retry-after propagation, and drain-based rebalancing when the backend
-// set changes. docs/SERVER.md ("Cluster mode") is the walkthrough.
+// Command cic-routerd is the CIC fleet frontend: it runs cic-gatewayd's
+// client session lifecycle (the same v2 wire protocol), consistently
+// hashes each station onto one of a configured set of gatewayd backends,
+// and proxies the session upstream. The fleet is self-healing —
+// per-backend health probes and circuit breakers, failover that replays
+// a failed session onto a replacement shard via RESUME, per-shard
+// overload shedding with retry-after propagation, and migration onto
+// the new owner when the backend set changes. docs/SERVER.md ("Cluster
+// mode") is the walkthrough.
 //
 // Usage:
 //
@@ -35,23 +36,13 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"io"
-	"log/slog"
 	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"sync/atomic"
-	"syscall"
-	"time"
 
-	"cic"
 	"cic/internal/cluster"
-	"cic/internal/fault"
 	"cic/internal/server"
 )
 
@@ -144,57 +135,17 @@ func run() error {
 		return fmt.Errorf("at least one -backend is required")
 	}
 
-	reg := cic.NewMetrics()
-	var writers []io.Writer
-	switch *out {
-	case "":
-	case "-":
-		writers = append(writers, os.Stdout)
-	default:
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		writers = append(writers, f)
-	}
-	sink := server.NewFanout(writers...)
-
-	logger, err := buildLogger(*logLevel, *logFormat, *quiet)
+	d, err := server.NewDaemon("cic-routerd", *out, *logLevel, *logFormat, *quiet)
 	if err != nil {
 		return err
 	}
-
-	var wrapConn, wrapUpstream func(net.Conn) net.Conn
-	if *faultSpec != "" {
-		ms, err := fault.ParseMultiSpec(*faultSpec)
-		if err != nil {
-			return fmt.Errorf("-fault-spec: %w", err)
-		}
-		for _, sp := range ms {
-			if leg := sp.LegName(); leg != "client" && leg != "upstream" {
-				return fmt.Errorf("-fault-spec: unknown leg %q (want client or upstream)", leg)
-			}
-		}
-		faults := reg.Counter(server.MetricFaultsInjected)
-		wrapLeg := func(sp *fault.Spec) func(net.Conn) net.Conn {
-			if sp == nil {
-				return nil
-			}
-			var idx atomic.Int64
-			return func(c net.Conn) net.Conn {
-				sched := sp.Schedule(int(idx.Add(1) - 1))
-				if len(sched.Read) == 0 && len(sched.Write) == 0 {
-					return c
-				}
-				return fault.WrapConn(c, sched, func(fault.Event) { faults.Inc() })
-			}
-		}
-		wrapConn = wrapLeg(ms.ForLeg("client"))
-		wrapUpstream = wrapLeg(ms.ForLeg("upstream"))
-		fmt.Fprintf(os.Stderr, "cic-routerd: FAULT INJECTION ACTIVE (%d leg specs) — dev use only\n", len(ms))
+	wraps, ms, err := d.FaultWrap(*faultSpec, "client", "upstream")
+	if err != nil {
+		return err
 	}
-
+	if ms != nil {
+		d.Printf("FAULT INJECTION ACTIVE (%d leg specs) — dev use only", len(ms))
+	}
 	router := cluster.New(cluster.Config{
 		Backends:      backends,
 		MaxSessions:   *maxSessions,
@@ -206,118 +157,14 @@ func run() error {
 		BreakerMax:    *breakerMax,
 		CloseTimeout:  *closeTimeout,
 		Seed:          *seed,
-		Metrics:       reg,
-		Sink:          sink,
-		WrapConn:      wrapConn,
-		WrapUpstream:  wrapUpstream,
-		Log:           logger,
+		Metrics:       d.Metrics,
+		Sink:          d.Sink,
+		WrapConn:      wraps[0],
+		WrapUpstream:  wraps[1],
+		Log:           d.Log,
 	})
-
-	dataLn, err := net.Listen("tcp", *listen)
-	if err != nil {
-		return err
-	}
-	var pubLn net.Listener
-	pubAddr := ""
-	if *pub != "" {
-		if pubLn, err = net.Listen("tcp", *pub); err != nil {
-			return err
-		}
-		pubAddr = pubLn.Addr().String()
-	}
-	dbgAddr := ""
-	if *debugAddr != "" {
-		mux := http.NewServeMux()
-		mux.Handle("/", cic.DebugHandler(reg, nil))
-		mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Cache-Control", "no-store")
-			fmt.Fprintln(w, "ok")
+	return d.Run(router, server.Listeners{Listen: *listen, Pub: *pub, Debug: *debugAddr, AddrFile: *addrFile},
+		func(addr net.Addr) string {
+			return fmt.Sprintf("routing on %s across %d backends", addr, len(backends))
 		})
-		mux.HandleFunc("/readyz", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Cache-Control", "no-store")
-			if err := router.Ready(); err != nil {
-				http.Error(w, err.Error(), http.StatusServiceUnavailable)
-				return
-			}
-			fmt.Fprintln(w, "ok")
-		})
-		dbgLn, err := net.Listen("tcp", *debugAddr)
-		if err != nil {
-			return fmt.Errorf("-debug-addr: %w", err)
-		}
-		dbgAddr = dbgLn.Addr().String()
-		go func() {
-			if err := http.Serve(dbgLn, mux); err != nil {
-				fmt.Fprintln(os.Stderr, "cic-routerd: debug server:", err)
-			}
-		}()
-		fmt.Fprintf(os.Stderr, "cic-routerd: debug endpoint on http://%s/metrics\n", dbgAddr)
-	}
-	if *addrFile != "" {
-		if err := os.WriteFile(*addrFile, []byte(dataLn.Addr().String()+"\n"+pubAddr+"\n"+dbgAddr+"\n"), 0o644); err != nil {
-			return err
-		}
-	}
-	fmt.Fprintf(os.Stderr, "cic-routerd: routing on %s across %d backends", dataLn.Addr(), len(backends))
-	if pubAddr != "" {
-		fmt.Fprintf(os.Stderr, ", publishing on %s", pubAddr)
-	}
-	fmt.Fprintln(os.Stderr)
-
-	errc := make(chan error, 2)
-	go func() { errc <- router.Serve(dataLn) }()
-	if pubLn != nil {
-		go func() { errc <- router.ServePub(pubLn) }()
-	}
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
-	select {
-	case sig := <-sigc:
-		fmt.Fprintf(os.Stderr, "cic-routerd: %v — draining\n", sig)
-	case err := <-errc:
-		if err != nil {
-			return err
-		}
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := router.Shutdown(ctx); err != nil {
-		return fmt.Errorf("shutdown: %w", err)
-	}
-	if err := sink.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintln(os.Stderr, "cic-routerd: drained")
-	return nil
-}
-
-// buildLogger assembles the daemon's structured logger from the
-// -log-level / -log-format / -quiet flags. A nil logger means silent.
-func buildLogger(level, format string, quiet bool) (*slog.Logger, error) {
-	if quiet {
-		return nil, nil
-	}
-	var lv slog.Level
-	switch strings.ToLower(level) {
-	case "debug":
-		lv = slog.LevelDebug
-	case "info":
-		lv = slog.LevelInfo
-	case "warn", "warning":
-		lv = slog.LevelWarn
-	case "error":
-		lv = slog.LevelError
-	default:
-		return nil, fmt.Errorf("-log-level: unknown level %q (want debug, info, warn or error)", level)
-	}
-	opts := &slog.HandlerOptions{Level: lv}
-	switch strings.ToLower(format) {
-	case "text":
-		return slog.New(slog.NewTextHandler(os.Stderr, opts)), nil
-	case "json":
-		return slog.New(slog.NewJSONHandler(os.Stderr, opts)), nil
-	default:
-		return nil, fmt.Errorf("-log-format: unknown format %q (want text or json)", format)
-	}
 }

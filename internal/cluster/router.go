@@ -89,30 +89,28 @@ type Config struct {
 	Log *slog.Logger
 }
 
-// Router is the failure-aware routing frontend: it speaks the v2 wire
-// protocol to clients, shards stations onto backends by consistent
-// hash, retains each session's stream for replay, and fails sessions
-// over onto healthy shards when a backend dies. Create with New, feed
-// it listeners via Serve/ServePub, stop it with Shutdown.
+// Router is the failure-aware routing frontend: it shards stations onto
+// backends by consistent hash, retains each session's stream for replay,
+// and fails sessions over onto healthy shards when a backend dies. Its
+// clients speak the v2 wire protocol to the same session lifecycle as
+// cic-gatewayd's (a server.Server built with NewFrontEnd); the Router
+// supplies the upstream leg. Create with New, feed it listeners via
+// Serve/ServePub, stop it with Shutdown.
 type Router struct {
-	cfg  Config
-	m    *clusterMetrics
-	sink *server.Fanout
-	log  *slog.Logger
-	done chan struct{}
+	cfg   Config
+	m     *clusterMetrics
+	sink  *server.Fanout
+	log   *slog.Logger
+	done  chan struct{}
+	front *server.Server
 
 	ringVersion atomic.Uint64
 
 	mu        sync.Mutex
 	closed    bool
-	nextID    uint64
 	ring      *ring
 	backends  map[string]*backend
-	sessions  map[uint64]*session // attached to a client connection
 	byStation map[string]*session // attached or parked
-	parked    map[string]*parkedEntry
-	listeners map[net.Listener]struct{}
-	connWG    sync.WaitGroup
 
 	intakeWG    sync.WaitGroup
 	intakeMu    sync.Mutex
@@ -139,29 +137,12 @@ type wmState struct {
 // entries are evicted).
 const maxWatermarks = 1 << 16
 
-// parkedEntry is a routed session between client connections: its
-// upstream connection and retention stay live until a RESUME reclaims
-// it or the park timer drains it.
-type parkedEntry struct {
-	s     *session
-	timer *time.Timer
-}
-
 // New builds a Router from cfg (see Config for defaults). Health
 // probers and record intakes start immediately; call Shutdown to stop
 // them even if Serve is never called.
 func New(cfg Config) *Router {
-	if cfg.MaxSessions == 0 {
-		cfg.MaxSessions = server.DefaultMaxSessions
-	}
 	if cfg.RetainCap == 0 {
 		cfg.RetainCap = DefaultRetainCap
-	}
-	if cfg.IdleTimeout == 0 {
-		cfg.IdleTimeout = server.DefaultIdleTimeout
-	}
-	if cfg.ParkTimeout == 0 {
-		cfg.ParkTimeout = server.DefaultParkTimeout
 	}
 	if cfg.ProbeInterval == 0 {
 		cfg.ProbeInterval = DefaultProbeInterval
@@ -194,13 +175,27 @@ func New(cfg Config) *Router {
 		log:         cfg.Log,
 		done:        make(chan struct{}),
 		backends:    map[string]*backend{},
-		sessions:    map[uint64]*session{},
 		byStation:   map[string]*session{},
-		parked:      map[string]*parkedEntry{},
-		listeners:   map[net.Listener]struct{}{},
 		intakeConns: map[net.Conn]struct{}{},
 		wms:         map[string]*wmState{},
 	}
+	r.front = server.NewFrontEnd(server.Config{
+		MaxSessions: cfg.MaxSessions,
+		IdleTimeout: cfg.IdleTimeout,
+		ParkTimeout: cfg.ParkTimeout,
+		RetryAfter:  cfg.RetryAfter,
+		Sink:        cfg.Sink,
+		WrapConn:    cfg.WrapConn,
+		Log:         cfg.Log,
+	}, server.FrontEnd{
+		Name:           "router",
+		Open:           r.open,
+		SessionsActive: r.m.SessionsActive,
+		SessionsParked: r.m.SessionsParked,
+		SessionsTotal:  r.m.SessionsTotal,
+		ResumesTotal:   r.m.ResumesTotal,
+		Rejections:     r.m.Rejected,
+	})
 	for _, spec := range cfg.Backends {
 		r.addBackendLocked(spec)
 	}
@@ -257,8 +252,9 @@ func (r *Router) rebuildRingLocked() {
 }
 
 // AddBackend grows the fleet at runtime. Stations whose ring owner
-// moves onto the new backend migrate lazily: their sessions drain on
-// the old shard and RESUME + replay on the new one at the next frame.
+// moves onto the new backend migrate lazily at their next frame: the
+// old upstream is abandoned (see maybeMigrate) and the session RESUMEs
+// and replays on the new owner.
 func (r *Router) AddBackend(spec BackendSpec) error {
 	spec = spec.withDefaults()
 	r.mu.Lock()
@@ -277,7 +273,7 @@ func (r *Router) AddBackend(spec BackendSpec) error {
 
 // RemoveBackend drains a backend out of the fleet: it leaves the ring
 // immediately (no new sessions route to it) and existing sessions
-// migrate off lazily via the same drain → RESUME → replay path.
+// migrate off lazily via the same abandon → RESUME → replay path.
 func (r *Router) RemoveBackend(name string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -338,74 +334,21 @@ func (r *Router) SessionBackend(station string) string {
 }
 
 // SessionCount reports attached (client-connected) routed sessions.
-func (r *Router) SessionCount() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.sessions)
-}
+func (r *Router) SessionCount() int { return r.front.SessionCount() }
 
 // ParkedCount reports parked routed sessions.
-func (r *Router) ParkedCount() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.parked)
-}
+func (r *Router) ParkedCount() int { return r.front.ParkedCount() }
 
 // Sink returns the router's merged-output fanout.
 func (r *Router) Sink() *server.Fanout { return r.sink }
 
-// register adds a listener unless the router is shut down.
-func (r *Router) register(ln net.Listener) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return false
-	}
-	r.listeners[ln] = struct{}{}
-	return true
-}
-
 // Serve accepts client ingestion connections on ln until Shutdown
 // closes it (Serve then returns nil) or Accept fails.
-func (r *Router) Serve(ln net.Listener) error {
-	if !r.register(ln) {
-		ln.Close()
-		return errors.New("cluster: router already shut down")
-	}
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if r.isClosed() {
-				return nil
-			}
-			return err
-		}
-		r.connWG.Add(1)
-		go func() {
-			defer r.connWG.Done()
-			r.handleConn(conn)
-		}()
-	}
-}
+func (r *Router) Serve(ln net.Listener) error { return r.front.Serve(ln) }
 
 // ServePub accepts NDJSON subscriber connections on ln and attaches
 // them to the router's merged sink.
-func (r *Router) ServePub(ln net.Listener) error {
-	if !r.register(ln) {
-		ln.Close()
-		return errors.New("cluster: router already shut down")
-	}
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if r.isClosed() {
-				return nil
-			}
-			return err
-		}
-		r.sink.AddSubscriber(conn)
-	}
-}
+func (r *Router) ServePub(ln net.Listener) error { return r.front.ServePub(ln) }
 
 func (r *Router) isClosed() bool {
 	r.mu.Lock()
@@ -422,24 +365,18 @@ func (r *Router) retryAfter() time.Duration {
 }
 
 // Ready reports whether the router would currently admit a session:
-// nil while accepting with at least one available backend — the
-// /readyz truth source for cic-routerd.
+// nil while accepting with session capacity and at least one available
+// backend — the /readyz truth source for cic-routerd.
 func (r *Router) Ready() error {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return errors.New("draining")
+	if err := r.front.Ready(); err != nil {
+		return err
 	}
-	inUse := len(r.sessions) + len(r.parked)
-	limit := r.cfg.MaxSessions
+	r.mu.Lock()
 	backends := make([]*backend, 0, len(r.backends))
 	for _, b := range r.backends {
 		backends = append(backends, b)
 	}
 	r.mu.Unlock()
-	if limit > 0 && inUse >= limit {
-		return fmt.Errorf("shedding: session limit reached (%d/%d)", inUse, limit)
-	}
 	for _, b := range backends {
 		if b.available() {
 			return nil
@@ -459,49 +396,9 @@ func (r *Router) Shutdown(ctx context.Context) error {
 		return nil
 	}
 	r.closed = true
-	for ln := range r.listeners {
-		ln.Close()
-	}
-	attached := make([]*session, 0, len(r.sessions))
-	for _, s := range r.sessions {
-		attached = append(attached, s)
-	}
-	idle := make([]*parkedEntry, 0, len(r.parked))
-	for _, p := range r.parked {
-		p.timer.Stop()
-		idle = append(idle, p)
-	}
-	r.parked = map[string]*parkedEntry{}
 	r.mu.Unlock()
-	r.m.SessionsParked.Set(0)
-
-	// Unblock the attached handlers (their disconnect path drains the
-	// upstream because the router is closed), and drain parked sessions
-	// here — their upstream gateways still hold undecoded samples.
-	for _, s := range attached {
-		s.closeClientConn()
-	}
-	var wg sync.WaitGroup
-	for _, p := range idle {
-		wg.Add(1)
-		go func(s *session) {
-			defer wg.Done()
-			if err := s.drainUpstream(); err != nil {
-				r.warn("shutdown drain failed", "cid", s.cid, "station", s.station, "err", err.Error())
-			}
-			r.finishSession(s)
-		}(p.s)
-	}
-	flushed := make(chan struct{})
-	go func() {
-		wg.Wait()
-		r.connWG.Wait()
-		close(flushed)
-	}()
-	select {
-	case <-flushed:
-	case <-ctx.Done():
-		return ctx.Err()
+	if err := r.front.Shutdown(ctx); err != nil {
+		return err
 	}
 
 	// Give in-flight backend records a moment to reach the intake before

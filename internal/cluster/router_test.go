@@ -1,9 +1,12 @@
 package cluster_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -316,5 +319,61 @@ func TestRouterProbeMarksBackendDown(t *testing.T) {
 	snap := tc.reg.Snapshot()
 	if got, _ := vecGet(snap.CounterVecs[cluster.MetricBackendProbes], "shard-0", "fail"); got < 1 {
 		t.Errorf("%s{shard-0,fail} = %d, want ≥ 1", cluster.MetricBackendProbes, got)
+	}
+}
+
+// msgCounter is a slog handler that counts records by message.
+type msgCounter struct {
+	mu sync.Mutex
+	n  map[string]int
+}
+
+func (h *msgCounter) Enabled(context.Context, slog.Level) bool { return true }
+
+func (h *msgCounter) Handle(_ context.Context, r slog.Record) error {
+	h.mu.Lock()
+	h.n[r.Message]++
+	h.mu.Unlock()
+	return nil
+}
+
+func (h *msgCounter) WithAttrs([]slog.Attr) slog.Handler { return h }
+func (h *msgCounter) WithGroup(string) slog.Handler      { return h }
+
+func (h *msgCounter) count(msg string) int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.n[msg]
+}
+
+// TestRouterRetentionTrimWarnsOnce: past RetainCap every frame trims the
+// oldest retained chunk. cluster_retain_trimmed counts every trimmed
+// sample, but the lossy-failover warning is logged once per session,
+// not once per frame.
+func TestRouterRetentionTrimWarnsOnce(t *testing.T) {
+	const frames = 10
+	logs := &msgCounter{n: map[string]int{}}
+	tc := startCluster(t, 1, clusterOpts{
+		routerCfg: func(c *cluster.Config) {
+			c.RetainCap = 2 * chaosChunk
+			c.Log = slog.New(logs)
+		},
+	})
+	c := helloClient(t, tc.addr, "trim", testConfig())
+	if c == nil {
+		t.Fatal("handshake failed")
+	}
+	if err := writeChunks(c, make([]complex128, frames*chaosChunk)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := logs.count("session retention trimmed (failover now lossy)"); n != 1 {
+		t.Errorf("retention warning logged %d times over %d frames, want 1", n, frames)
+	}
+	want := int64(frames-2) * chaosChunk
+	if got := tc.reg.Snapshot().Counters[cluster.MetricRetainTrimmed]; got != want {
+		t.Errorf("%s = %d, want %d", cluster.MetricRetainTrimmed, got, want)
 	}
 }

@@ -13,24 +13,22 @@ import (
 	"cic/internal/server"
 )
 
-// session is one routed client session: the router terminates the
-// client's v2 protocol here, retains the stream for replay, and proxies
-// it upstream to the station's shard. Exactly one goroutine drives a
-// session at a time (the connection handler, or — after the handler
-// released it — the park-expiry / shutdown drain), so the retention and
-// upstream fields need no lock.
+// session is one routed client session: cic-routerd's Stream in the
+// shared ingest lifecycle (internal/server). It retains the stream for
+// replay and proxies it upstream to the station's shard. The lifecycle
+// drives a session from one goroutine at a time (the connection handler,
+// or — after the handler released it — the park-expiry / shutdown
+// abandon), so the retention and upstream fields need no lock.
 type session struct {
-	r         *Router
-	id        uint64
-	cid       string
-	hello     server.Hello
-	station   string
-	resumable bool
+	r       *Router
+	id      uint64
+	cid     string
+	hello   server.Hello
+	station string
 
-	// conn is the attached client connection (Shutdown closes it to
-	// unblock the handler).
-	connMu sync.Mutex
-	conn   net.Conn
+	// ending is set once the session is abandoned: a new session for
+	// the station is then told to retry rather than refused outright.
+	ending atomic.Bool
 
 	// Retention: the full session stream as raw IQ frame bodies, each
 	// chunk one client frame, chunkStarts its absolute sample offset.
@@ -41,10 +39,10 @@ type session struct {
 	retainStart int64
 	ingested    int64
 	retained    int64
+	trimWarned  bool
 
-	up          *upstream
-	lastBackend string
-	ringVer     uint64
+	up      *upstream
+	ringVer uint64
 
 	// bname mirrors the attached backend name for concurrent readers
 	// (Router.SessionBackend).
@@ -123,21 +121,6 @@ func (u *upstream) readLoop() {
 	}
 }
 
-func (s *session) setConn(conn net.Conn) {
-	s.connMu.Lock()
-	s.conn = conn
-	s.connMu.Unlock()
-}
-
-func (s *session) closeClientConn() {
-	s.connMu.Lock()
-	c := s.conn
-	s.connMu.Unlock()
-	if c != nil {
-		c.Close()
-	}
-}
-
 func (s *session) backendName() string {
 	if v, ok := s.bname.Load().(string); ok {
 		return v
@@ -171,8 +154,12 @@ func (s *session) retain(body []byte) {
 	if trimmed > 0 {
 		s.r.m.RetainTrimmed.Add(trimmed)
 		s.r.m.RetainSamples.Add(-trimmed)
-		s.r.warn("session retention trimmed (failover now lossy)",
-			"cid", s.cid, "station", s.station, "samples", trimmed)
+		// Past the cap every frame trims; say so once per session.
+		if !s.trimWarned {
+			s.trimWarned = true
+			s.r.warn("session retention trimmed (failover now lossy)",
+				"cid", s.cid, "station", s.station, "samples", trimmed)
+		}
 	}
 }
 
@@ -335,7 +322,6 @@ func (s *session) connectUpstream(b *backend) (se *server.ServerError, retry boo
 	s.up = u
 	b.addSession()
 	s.bname.Store(b.spec.Name)
-	s.lastBackend = b.spec.Name
 	r.info("session routed",
 		"cid", s.cid, "station", s.station, "backend", b.spec.Name,
 		"resume_offset", off, "ingested", s.ingested)
@@ -494,359 +480,104 @@ func (s *session) maybeMigrate() {
 		"cid", s.cid, "station", s.station, "from", cur.spec.Name, "to", owner)
 }
 
-// ---- Router-side session lifecycle -------------------------------------
+// ---- The session as a server.Stream -----------------------------------
 
-// reject answers a handshake with a structured ERROR frame.
-func (r *Router) reject(conn net.Conn, se *server.ServerError) {
-	r.m.Rejected.Inc()
-	_ = server.WriteFrame(conn, server.FrameError,
-		server.EncodeErrorBody(se.Code, se.RetryAfter, se.Reason))
-	conn.Close()
-}
-
-// admitSession creates and tracks a fresh routed session. The router
+// open is the router's admission (server.FrontEnd.Open). The router
 // enforces one routed session per station — the dedup watermark is
 // per-station state, so two concurrent streams for one station would
 // corrupt each other's output (a documented cluster-mode constraint).
-func (r *Router) admitSession(h server.Hello, resumable bool) (*session, *server.ServerError) {
+// The session routes upstream before the client's OK, so a shard's
+// handshake verdict (an overload shed in particular) reaches the client.
+func (r *Router) open(id uint64, cid string, h server.Hello) (server.Stream, error) {
 	r.mu.Lock()
-	if r.closed {
+	if prev := r.byStation[h.Station]; prev != nil {
 		r.mu.Unlock()
-		return nil, &server.ServerError{Reason: "router draining"}
-	}
-	if r.byStation[h.Station] != nil {
-		r.mu.Unlock()
+		if prev.ending.Load() {
+			return nil, &server.ServerError{
+				Code:       server.ErrCodeOverload,
+				RetryAfter: r.retryAfter(),
+				Reason:     fmt.Sprintf("station %q's previous session is still draining", h.Station),
+			}
+		}
 		return nil, &server.ServerError{
 			Reason: fmt.Sprintf("station %q already has a routed session", h.Station)}
 	}
-	if r.cfg.MaxSessions > 0 && len(r.sessions)+len(r.parked) >= r.cfg.MaxSessions {
-		limit := r.cfg.MaxSessions
-		r.mu.Unlock()
-		return nil, &server.ServerError{
-			Code:       server.ErrCodeOverload,
-			RetryAfter: r.retryAfter(),
-			Reason:     fmt.Sprintf("router session limit reached (%d)", limit),
-		}
-	}
-	r.nextID++
-	s := &session{
-		r:         r,
-		id:        r.nextID,
-		cid:       server.MintCID(),
-		hello:     h,
-		station:   h.Station,
-		resumable: resumable,
-	}
+	s := &session{r: r, id: id, cid: cid, hello: h, station: h.Station}
 	s.ringVer = r.ringVersion.Load()
-	r.sessions[s.id] = s
 	r.byStation[h.Station] = s
-	active := len(r.sessions)
 	r.mu.Unlock()
-	r.m.SessionsActive.Set(int64(active))
-	r.m.SessionsTotal.Inc()
 	r.resetWatermark(s)
+	if se := s.ensureUpstream(); se != nil {
+		r.warn("session rejected by fleet", "cid", cid, "station", h.Station, "reason", se.Reason)
+		s.finish()
+		return nil, se
+	}
 	return s, nil
 }
 
-// handleConn terminates one client connection: v2 handshake, then the
-// proxy frame loop.
-func (r *Router) handleConn(conn net.Conn) {
-	if r.cfg.WrapConn != nil {
-		conn = r.cfg.WrapConn(conn)
+// Ingest retains one client IQ frame and forwards it upstream, first
+// moving the session onto its new ring owner after a membership change.
+// A retryable fleet verdict (overload, no shard available) lets the
+// session park: retention survives, so the client's RESUME continues
+// with nothing lost. A terminal backend error does not — replay would
+// reproduce it.
+func (s *session) Ingest(body []byte) error {
+	if len(body) == 0 || len(body)%8 != 0 {
+		return &server.ServerError{
+			Reason: fmt.Sprintf("IQ body length %d not a positive multiple of 8", len(body))}
 	}
-	br := bufio.NewReaderSize(conn, 64<<10)
-	idle := r.cfg.IdleTimeout
-	if idle > 0 {
-		_ = conn.SetReadDeadline(time.Now().Add(idle))
+	if v := s.r.ringVersion.Load(); v != s.ringVer {
+		s.ringVer = v
+		s.maybeMigrate()
 	}
-	typ, body, err := server.ReadFrame(br)
-	if err != nil || (typ != server.FrameHello && typ != server.FrameResume) {
-		if err == nil {
-			err = fmt.Errorf("first frame type 0x%02x, want HELLO or RESUME", typ)
-		}
-		r.reject(conn, &server.ServerError{Reason: fmt.Sprintf("bad handshake: %v", err)})
-		return
-	}
-	h, err := server.ParseHello(body)
-	if err != nil {
-		r.reject(conn, &server.ServerError{Reason: err.Error()})
-		return
-	}
-	resumable := typ == server.FrameResume
-
-	if resumable {
-		if s := r.awaitParked(h); s != nil {
-			s.setConn(conn)
-			off := s.ingested
-			if err := server.WriteFrame(conn, server.FrameOK, server.EncodeOffset(off)); err != nil {
-				r.parkOrFinish(s, conn, true)
-				return
-			}
-			r.m.ResumesTotal.Inc()
-			r.info("session resumed",
-				"cid", s.cid, "station", s.station,
-				"remote", conn.RemoteAddr().String(), "offset", off)
-			r.serveSession(s, conn, br)
-			return
-		}
-	}
-	if err := h.Config().Validate(); err != nil {
-		r.reject(conn, &server.ServerError{Reason: err.Error()})
-		return
-	}
-	s, se := r.admitSession(h, resumable)
-	if se != nil {
-		r.warn("session rejected", "station", h.Station,
-			"remote", conn.RemoteAddr().String(), "reason", se.Reason)
-		r.reject(conn, se)
-		return
-	}
-	s.setConn(conn)
-	// Route upstream before the OK so a backend's handshake verdict (an
-	// overload shed in particular) propagates into the client handshake.
-	if se := s.ensureUpstream(); se != nil {
-		r.warn("session rejected by fleet", "cid", s.cid, "station", h.Station,
-			"reason", se.Reason)
-		r.reject(conn, se)
-		r.finishSession(s)
-		return
-	}
-	var okBody []byte
-	if resumable {
-		okBody = server.EncodeOffset(0)
-	}
-	if err := server.WriteFrame(conn, server.FrameOK, okBody); err != nil {
-		r.parkOrFinish(s, conn, resumable)
-		return
-	}
-	r.info("session accepted",
-		"cid", s.cid, "station", h.Station, "remote", conn.RemoteAddr().String(),
-		"backend", s.backendName(), "resumable", resumable)
-	r.serveSession(s, conn, br)
-}
-
-// serveSession runs the proxy frame loop for an attached session and
-// tears it down: parked when a resumable connection dies abnormally (or
-// its fleet verdict is retryable), drained otherwise.
-func (r *Router) serveSession(s *session, conn net.Conn, br *bufio.Reader) {
-	idle := r.cfg.IdleTimeout
-	park := false
-	defer func() {
-		if v := recover(); v != nil {
-			r.warn("cluster session handler panic",
-				"cid", s.cid, "station", s.station, "panic", fmt.Sprint(v))
-			park = false
-		}
-		r.parkOrFinish(s, conn, park)
-	}()
-	for {
-		if idle > 0 {
-			_ = conn.SetReadDeadline(time.Now().Add(idle))
-		}
-		typ, body, err := server.ReadFrame(br)
-		if err != nil {
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				r.info("session idle timeout", "cid", s.cid, "station", s.station)
-			} else {
-				r.info("session disconnected",
-					"cid", s.cid, "station", s.station, "err", err.Error())
-				park = s.resumable
-			}
-			return
-		}
-		switch typ {
-		case server.FrameIQ:
-			if len(body) == 0 || len(body)%8 != 0 {
-				_ = server.WriteFrame(conn, server.FrameError,
-					server.EncodeErrorBody(server.ErrCodeGeneric, 0,
-						fmt.Sprintf("IQ body length %d not a positive multiple of 8", len(body))))
-				return
-			}
-			if v := r.ringVersion.Load(); v != s.ringVer {
-				s.ringVer = v
-				s.maybeMigrate()
-			}
-			s.retain(body)
-			if se := s.forward(body); se != nil {
-				_ = server.WriteFrame(conn, server.FrameError,
-					server.EncodeErrorBody(se.Code, se.RetryAfter, se.Reason))
-				// A retryable fleet verdict (overload, no shard available)
-				// parks the session: retention survives, so the client's
-				// RESUME continues with nothing lost. A terminal backend
-				// error does not — replay would reproduce it.
-				park = s.resumable && se.Temporary()
-				return
-			}
-			if s.resumable {
-				if err := server.WriteFrame(conn, server.FrameAck, server.EncodeOffset(s.ingested)); err != nil {
-					r.info("session ack write failed",
-						"cid", s.cid, "station", s.station, "err", err.Error())
-					park = true
-					return
-				}
-			}
-		case server.FrameClose:
-			_ = conn.SetReadDeadline(time.Time{})
-			if err := s.drainUpstream(); err != nil {
-				// Never OK a failed drain — the client would believe its
-				// records were published. A retryable failure parks the
-				// session (retention intact) so the client's reconnect
-				// resumes and re-runs the CLOSE once the fleet recovers.
-				r.warn("session drain failed",
-					"cid", s.cid, "station", s.station, "err", err.Error())
-				var se *server.ServerError
-				if !errors.As(err, &se) {
-					se = &server.ServerError{Reason: err.Error()}
-				}
-				_ = server.WriteFrame(conn, server.FrameError,
-					server.EncodeErrorBody(se.Code, se.RetryAfter, se.Reason))
-				park = s.resumable && se.Temporary()
-				return
-			}
-			_ = server.WriteFrame(conn, server.FrameOK, nil)
-			r.info("session closed", "cid", s.cid, "station", s.station)
-			return
-		default:
-			_ = server.WriteFrame(conn, server.FrameError,
-				server.EncodeErrorBody(server.ErrCodeGeneric, 0,
-					fmt.Sprintf("unexpected frame type 0x%02x", typ)))
-			return
-		}
-	}
-}
-
-// awaitParked reclaims the station's parked session, briefly waiting
-// out an in-flight park when the previous connection is still tearing
-// down (mirrors the daemon's resume grace).
-func (r *Router) awaitParked(h server.Hello) *session {
-	if s := r.resumeParked(h); s != nil {
-		return s
-	}
-	deadline := time.Now().Add(3 * time.Second)
-	for r.hasActiveStation(h) && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-		if s := r.resumeParked(h); s != nil {
-			return s
-		}
+	s.retain(body)
+	if se := s.forward(body); se != nil {
+		return se
 	}
 	return nil
 }
 
-// hasActiveStation reports whether a resumable routed session for the
-// station is still attached to a client connection.
-func (r *Router) hasActiveStation(h server.Hello) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s := r.byStation[h.Station]
-	return s != nil && s.resumable && r.sessions[s.id] == s
+func (s *session) Ingested() int64 { return s.ingested }
+
+// Drain answers the client's CLOSE through the shard's CLOSE handshake.
+// A retryable failure lets the session park (retention intact) so the
+// client's reconnect resumes and re-runs the CLOSE once the fleet
+// recovers.
+func (s *session) Drain() error { return s.drainUpstream() }
+
+// MayPark: a lost client connection parks the session, and so does a
+// retryable fleet verdict.
+func (s *session) MayPark(cause error) bool {
+	var se *server.ServerError
+	return cause == nil || errors.As(cause, &se) && se.Temporary()
 }
 
-// resumeParked reclaims the station's parked session, nil when there is
-// nothing to reclaim (no parked session, a different stream config, the
-// park timer already fired, or the router is draining). Timer.Stop is
-// the arbiter against a concurrently firing expiry.
-func (r *Router) resumeParked(h server.Hello) *session {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return nil
-	}
-	p := r.parked[h.Station]
-	if p == nil || p.s.hello != h {
-		return nil
-	}
-	if !p.timer.Stop() {
-		return nil
-	}
-	delete(r.parked, h.Station)
-	r.sessions[p.s.id] = p.s
-	r.m.SessionsParked.Set(int64(len(r.parked)))
-	r.m.SessionsActive.Set(int64(len(r.sessions)))
-	return p.s
-}
-
-// parkOrFinish tears a session down after its client connection ends:
-// a resumable session parks for the resume window; anything else drains
-// the upstream gracefully (so the shard publishes its buffered packets)
-// and finishes.
-func (r *Router) parkOrFinish(s *session, conn net.Conn, park bool) {
-	if park && r.parkSession(s) {
-		conn.Close()
-		r.info("session parked",
-			"cid", s.cid, "station", s.station, "resume_window", r.cfg.ParkTimeout)
-		return
-	}
+// Abandon drains the upstream gracefully (so the shard publishes its
+// buffered packets) and finishes the session.
+func (s *session) Abandon() {
+	s.ending.Store(true)
 	if s.up != nil {
 		if err := s.drainUpstream(); err != nil {
-			r.warn("session final drain failed",
+			s.r.warn("session final drain failed",
 				"cid", s.cid, "station", s.station, "err", err.Error())
 		}
 	}
-	conn.Close()
-	r.finishSession(s)
+	s.finish()
 }
 
-// parkSession moves an attached session into the parked map and starts
-// its expiry timer. The upstream connection stays live so a prompt
-// RESUME continues with zero replay.
-func (r *Router) parkSession(s *session) bool {
-	if r.cfg.ParkTimeout <= 0 {
-		return false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return false
-	}
-	if _, dup := r.parked[s.station]; dup {
-		return false
-	}
-	delete(r.sessions, s.id)
-	p := &parkedEntry{s: s}
-	p.timer = time.AfterFunc(r.cfg.ParkTimeout, func() { r.expirePark(s.station, p) })
-	r.parked[s.station] = p
-	r.m.SessionsActive.Set(int64(len(r.sessions)))
-	r.m.SessionsParked.Set(int64(len(r.parked)))
-	return true
-}
-
-// expirePark drains a parked session whose resume window elapsed.
-func (r *Router) expirePark(station string, p *parkedEntry) {
-	r.mu.Lock()
-	if r.parked[station] != p {
-		r.mu.Unlock()
-		return
-	}
-	delete(r.parked, station)
-	parked := len(r.parked)
-	r.mu.Unlock()
-	r.m.SessionsParked.Set(int64(parked))
-	r.info("session resume window expired", "cid", p.s.cid, "station", station)
-	if p.s.up != nil {
-		if err := p.s.drainUpstream(); err != nil {
-			r.warn("session expiry drain failed",
-				"cid", p.s.cid, "station", station, "err", err.Error())
-		}
-	}
-	r.finishSession(p.s)
-}
-
-// finishSession unlinks a session and releases its retention. The
-// upstream, if still attached, is abandoned abruptly — callers drain
-// first when the shard should publish.
-func (r *Router) finishSession(s *session) {
+// finish unlinks the session and releases its retention. The upstream,
+// if still attached, is abandoned abruptly — callers drain first when
+// the shard should publish.
+func (s *session) finish() {
+	r := s.r
 	if s.up != nil {
 		s.teardownUpstream()
 	}
 	r.mu.Lock()
-	delete(r.sessions, s.id)
 	if r.byStation[s.station] == s {
 		delete(r.byStation, s.station)
 	}
-	active := len(r.sessions)
 	r.mu.Unlock()
-	r.m.SessionsActive.Set(int64(active))
 	if s.retained > 0 {
 		r.m.RetainSamples.Add(-s.retained)
 	}

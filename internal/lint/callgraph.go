@@ -190,7 +190,13 @@ func (cg *CallGraph) resolveBody(pkg *Package, caller *FuncNode, body *ast.Block
 	callFuns := map[ast.Expr]bool{} // expressions in call-operator position
 	ast.Inspect(body, func(n ast.Node) bool {
 		if call, ok := n.(*ast.CallExpr); ok {
-			callFuns[ast.Unparen(call.Fun)] = true
+			fun := ast.Unparen(call.Fun)
+			callFuns[fun] = true
+			// x.m() also visits the bare m below: it is the callee, not
+			// a method value.
+			if sel, ok := fun.(*ast.SelectorExpr); ok {
+				callFuns[sel.Sel] = true
+			}
 		}
 		return true
 	})

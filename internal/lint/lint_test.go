@@ -69,3 +69,10 @@ func TestScopedAnalyzersSkipForeignPackages(t *testing.T) {
 	linttest.RunFixture(t, lint.LockDiscipline, "testdata/outofscope")
 	linttest.RunFixture(t, lint.ArenaEscape, "testdata/outofscope")
 }
+
+// TestMethodCallNotAddressTaken pins the call graph's address-taken
+// marks: a method only ever called through a selector draws no
+// func-value edge, so hotpropagate stays silent on it.
+func TestMethodCallNotAddressTaken(t *testing.T) {
+	linttest.RunFixture(t, lint.HotPropagate, "testdata/methodcall")
+}

@@ -279,70 +279,81 @@ func TestServerAdmissionLimits(t *testing.T) {
 	}
 }
 
-// TestServerBadHello: a malformed handshake draws an ERROR frame and a
-// hello_errors tick, not a hang or a panic.
+// TestServerBadHello: on both front ends a malformed handshake draws an
+// ERROR frame and one rejection tick (hello_errors on a gatewayd), not a
+// hang or a panic.
 func TestServerBadHello(t *testing.T) {
-	reg := cic.NewMetrics()
-	_, addr := startServer(t, server.Config{Workers: 1, Metrics: reg, Sink: server.NewFanout()})
+	for _, fe := range frontEnds {
+		t.Run(fe.name, func(t *testing.T) {
+			run := fe.start(t, server.Config{})
 
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := server.WriteFrame(conn, server.FrameHello, []byte("not a hello")); err != nil {
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	typ, body, err := server.ReadFrame(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if typ != server.FrameError {
-		t.Fatalf("reply frame 0x%02x, want ERROR", typ)
-	}
-	if len(body) == 0 {
-		t.Fatal("empty rejection reason")
-	}
-	if got := reg.Snapshot().Counters[server.MetricHelloErrors]; got != 1 {
-		t.Fatalf("%s = %d, want 1", server.MetricHelloErrors, got)
+			conn, err := net.Dial("tcp", run.addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if err := server.WriteFrame(conn, server.FrameHello, []byte("not a hello")); err != nil {
+				t.Fatal(err)
+			}
+			conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+			typ, body, err := server.ReadFrame(conn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if typ != server.FrameError {
+				t.Fatalf("reply frame 0x%02x, want ERROR", typ)
+			}
+			if len(body) == 0 {
+				t.Fatal("empty rejection reason")
+			}
+			if got := run.reg.Snapshot().Counters[fe.rejected]; got != 1 {
+				t.Fatalf("%s = %d, want 1", fe.rejected, got)
+			}
+		})
 	}
 }
 
-// TestServerIdleTimeout: a session that stops sending frames is closed
-// after the idle timeout and counted.
+// TestServerIdleTimeout: on both front ends a session that stops sending
+// frames is closed after the idle timeout (counted on a gatewayd), and
+// the decoding gatewayd's session ends with it.
 func TestServerIdleTimeout(t *testing.T) {
 	cfg := testConfig()
-	reg := cic.NewMetrics()
-	srv, addr := startServer(t, server.Config{
-		Workers: 1, IdleTimeout: 200 * time.Millisecond, Metrics: reg, Sink: server.NewFanout(),
-	})
+	for _, fe := range frontEnds {
+		t.Run(fe.name, func(t *testing.T) {
+			run := fe.start(t, server.Config{IdleTimeout: 200 * time.Millisecond})
 
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	body, err := server.EncodeHello(server.HelloFor("sleepy", cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := server.WriteFrame(conn, server.FrameHello, body); err != nil {
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	if typ, _, err := server.ReadFrame(conn); err != nil || typ != server.FrameOK {
-		t.Fatalf("handshake reply: type 0x%02x err %v", typ, err)
-	}
+			conn, err := net.Dial("tcp", run.addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			body, err := server.EncodeHello(server.HelloFor("sleepy", cfg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := server.WriteFrame(conn, server.FrameHello, body); err != nil {
+				t.Fatal(err)
+			}
+			conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+			if typ, _, err := server.ReadFrame(conn); err != nil || typ != server.FrameOK {
+				t.Fatalf("handshake reply: type 0x%02x err %v", typ, err)
+			}
 
-	// Send nothing; the server must hang up on its own.
-	buf := make([]byte, 1)
-	if _, err := conn.Read(buf); err == nil {
-		t.Fatal("expected the server to close the idle connection")
-	}
-	waitFor(t, "idle teardown", func() bool { return srv.SessionCount() == 0 })
-	if got := reg.Snapshot().Counters[server.MetricIdleTimeouts]; got != 1 {
-		t.Fatalf("%s = %d, want 1", server.MetricIdleTimeouts, got)
+			// Send nothing; the front end must hang up on its own.
+			buf := make([]byte, 1)
+			if _, err := conn.Read(buf); err == nil {
+				t.Fatal("expected the front end to close the idle connection")
+			}
+			waitFor(t, "idle teardown", func() bool {
+				return run.front.SessionCount() == 0 &&
+					run.gwReg.Snapshot().Gauges[server.MetricSessionsActive] == 0
+			})
+			if fe.idle != "" {
+				if got := run.reg.Snapshot().Counters[fe.idle]; got != 1 {
+					t.Fatalf("%s = %d, want 1", fe.idle, got)
+				}
+			}
+		})
 	}
 }
 

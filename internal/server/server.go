@@ -106,10 +106,15 @@ type Config struct {
 	MaxStationSeries int
 }
 
-// Server accepts ingestion connections, runs one Session per connection
-// with admission control (session count + memory budget), and publishes
-// decoded packets through the sink. Create with New, feed it listeners
-// via Serve/ServePub, stop it with Shutdown.
+// Server accepts ingestion connections and runs the client-facing
+// session lifecycle on each: the HELLO/RESUME handshake, admission
+// against the session limit, the idle-deadline frame loop with per-frame
+// ACKs, CLOSE → drain → OK, parking and resume, and a graceful Shutdown.
+// What becomes of a session's IQ frames is its front end's Stream: New
+// decodes them (cic-gatewayd, with memory-budget admission, publishing
+// decoded packets through the sink); NewFrontEnd plugs in any other front
+// end (cic-routerd's upstream leg). Create with New or NewFrontEnd, feed
+// it listeners via Serve/ServePub, stop it with Shutdown.
 //
 // Resilience: a session opened with RESUME survives its connection —
 // on abnormal disconnect it is parked for Config.ParkTimeout and a
@@ -121,36 +126,107 @@ type Server struct {
 	m    *serverMetrics
 	sink *Fanout
 	log  *slog.Logger // resolved from Config.Log / Config.Logf (nil = silent)
+	name string       // FrontEnd.Name ("" for cic-gatewayd)
+	open func(id uint64, cid string, h Hello) (Stream, error)
 
 	mu        sync.Mutex
 	closed    bool
 	nextID    uint64
 	memInUse  int64
-	sessions  map[uint64]*activeSession
-	parked    map[string]*parkedSession
+	sessions  map[uint64]*slot // attached to a connection
+	parked    map[string]*slot // by station, awaiting RESUME
 	listeners map[net.Listener]struct{}
 	connWG    sync.WaitGroup
 }
 
-// activeSession pairs a session with its connection so Shutdown can
-// flush the gateway and then unblock the connection's reader.
-type activeSession struct {
-	sess *Session
-	conn net.Conn
+// Stream is a front end's side of one client session: what becomes of
+// the IQ frames the lifecycle reads. cic-gatewayd's stream decodes them;
+// cic-routerd's proxies them to a shard. The lifecycle drives a stream
+// from one goroutine at a time.
+type Stream interface {
+	// Ingest takes one IQ frame body (the stream owns it from here on).
+	// An error ends the connection and reaches the client as an ERROR
+	// frame; a *ServerError keeps its code and retry hint.
+	Ingest(body []byte) error
+	// Ingested is the sample count taken so far: the offset acked to
+	// resumable clients and returned on RESUME.
+	Ingested() int64
+	// Drain answers the client's CLOSE: publish everything ingested. An
+	// error is sent in place of the OK.
+	Drain() error
+	// Abandon ends the stream once no connection will carry it again
+	// (its connection ended and it did not park, its park expired, or
+	// the daemon shut down): it publishes what the front end still owes
+	// and releases the stream's resources.
+	Abandon()
+	// MayPark reports whether the session may park after cause ended its
+	// connection (nil: the connection was lost or went silent mid-ACK).
+	MayPark(cause error) bool
 }
 
-// parkedSession is a resumable session between connections: its gateway
-// (and memory reservation) stays live until a RESUME reclaims it or the
-// park timer drains it.
-type parkedSession struct {
-	sess  *Session
-	est   int64
-	hello Hello
-	timer *time.Timer
+// FrontEnd plugs a front end other than cic-gatewayd's decoder into the
+// lifecycle (see NewFrontEnd).
+type FrontEnd struct {
+	// Name prefixes the lifecycle's rejection reasons ("router session
+	// limit reached"), so that a client behind a router can tell the
+	// router's shed from a shard's, whose reason the router forwards.
+	Name string
+	// Open admits a session for a validated handshake: id and cid are
+	// the session number and correlation id the lifecycle minted. A
+	// *ServerError rejection keeps its code and retry hint.
+	Open func(id uint64, cid string, h Hello) (Stream, error)
+	// The lifecycle's session gauges and counters, under the front end's
+	// own metric names (nil handles are no-ops).
+	SessionsActive, SessionsParked          *obs.Gauge
+	SessionsTotal, ResumesTotal, Rejections *obs.Counter
 }
 
-// New builds a Server from cfg (see Config for zero-value defaults).
+// slot is one client-facing session as the lifecycle tracks it: attached
+// to conn (in sessions) or parked with its expiry timer (in parked).
+type slot struct {
+	id        uint64
+	cid       string
+	hello     Hello
+	resumable bool
+	flight    *obs.FlightScope
+	st        Stream // set once Open admits the session
+
+	conn  net.Conn    // attached connection (Shutdown closes it)
+	timer *time.Timer // park expiry while parked
+}
+
+// attrs is the common identity prefix for session-scoped log events.
+func (c *slot) attrs(args ...any) []any {
+	return append([]any{"cid", c.cid, "station", c.hello.Station, "session", c.id}, args...)
+}
+
+// New builds cic-gatewayd's Server, whose sessions decode their IQ into
+// per-session Gateways (see Config for zero-value defaults).
 func New(cfg Config) *Server {
+	cfg = cfg.withDefaults()
+	s := newServer(cfg, newServerMetrics(cfg.Metrics, cfg.MaxStationSeries))
+	s.open = s.openDecode
+	return s
+}
+
+// NewFrontEnd builds a Server that runs the session lifecycle for fe,
+// reporting on fe's metric handles instead of the server_* families.
+func NewFrontEnd(cfg Config, fe FrontEnd) *Server {
+	cfg = cfg.withDefaults()
+	s := newServer(cfg, &serverMetrics{
+		SessionsActive:   fe.SessionsActive,
+		SessionsParked:   fe.SessionsParked,
+		SessionsTotal:    fe.SessionsTotal,
+		ResumesTotal:     fe.ResumesTotal,
+		SessionsRejected: fe.Rejections,
+	})
+	s.name = fe.Name
+	s.open = fe.Open
+	return s
+}
+
+// withDefaults fills cfg's zero values with the package defaults.
+func (cfg Config) withDefaults() Config {
 	if cfg.MaxSessions == 0 {
 		cfg.MaxSessions = DefaultMaxSessions
 	}
@@ -175,13 +251,17 @@ func New(cfg Config) *Server {
 	if cfg.Sink == nil {
 		cfg.Sink = NewFanout()
 	}
+	return cfg
+}
+
+func newServer(cfg Config, m *serverMetrics) *Server {
 	s := &Server{
 		cfg:       cfg,
-		m:         newServerMetrics(cfg.Metrics, cfg.MaxStationSeries),
+		m:         m,
 		sink:      cfg.Sink,
 		log:       cfg.Log,
-		sessions:  map[uint64]*activeSession{},
-		parked:    map[string]*parkedSession{},
+		sessions:  map[uint64]*slot{},
+		parked:    map[string]*slot{},
 		listeners: map[net.Listener]struct{}{},
 	}
 	if s.log == nil && cfg.Logf != nil {
@@ -208,11 +288,6 @@ func (s *Server) logError(msg string, args ...any) {
 	if s.log != nil {
 		s.log.Error(msg, args...)
 	}
-}
-
-// sessAttrs is the common identity prefix for session-scoped log events.
-func sessAttrs(sess *Session) []any {
-	return []any{"cid", sess.CID, "station", sess.Station, "session", sess.ID}
 }
 
 // dumpFlight snapshots a session's flight-recorder trail into the log —
@@ -245,7 +320,7 @@ func (s *Server) register(ln net.Listener) bool {
 func (s *Server) Serve(ln net.Listener) error {
 	if !s.register(ln) {
 		ln.Close()
-		return fmt.Errorf("server: already shut down")
+		return errors.New("server: already shut down")
 	}
 	for {
 		conn, err := ln.Accept()
@@ -269,7 +344,7 @@ func (s *Server) Serve(ln net.Listener) error {
 func (s *Server) ServePub(ln net.Listener) error {
 	if !s.register(ln) {
 		ln.Close()
-		return fmt.Errorf("server: already shut down")
+		return errors.New("server: already shut down")
 	}
 	for {
 		conn, err := ln.Accept()
@@ -297,32 +372,64 @@ func (s *Server) retryAfter() time.Duration {
 	return s.cfg.RetryAfter
 }
 
-// admit applies the session-count and memory-budget limits (parked
-// sessions count against both — their gateways are still live),
-// reserving the estimate on success. Callers release via release().
-// A *ServerError return carries the overload code and retry hint for
-// the rejection ERROR frame.
-func (s *Server) admit(est int64) *ServerError {
+// overload builds a retryable rejection carrying the retry hint.
+func (s *Server) overload(reason string) *ServerError {
+	return &ServerError{Code: ErrCodeOverload, RetryAfter: s.retryAfter(), Reason: reason}
+}
+
+// reason prefixes a rejection reason with the front end's name.
+func (s *Server) reason(r string) string {
+	if s.name == "" {
+		return r
+	}
+	return s.name + " " + r
+}
+
+// admit takes a session slot for a validated handshake and tracks it as
+// attached to conn, under the session limit (parked sessions count: they
+// are still live).
+func (s *Server) admit(h Hello, resumable bool, conn net.Conn) (*slot, *ServerError) {
+	cid := MintCID()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return &ServerError{Code: ErrCodeGeneric, Reason: "server draining"}
+		return nil, &ServerError{Code: ErrCodeGeneric, Reason: s.reason("draining")}
 	}
 	inUse := len(s.sessions) + len(s.parked)
 	if s.cfg.MaxSessions > 0 && inUse >= s.cfg.MaxSessions {
-		return &ServerError{
-			Code:       ErrCodeOverload,
-			RetryAfter: s.retryAfter(),
-			Reason:     fmt.Sprintf("session limit reached (%d active)", inUse),
-		}
+		return nil, s.overload(s.reason(fmt.Sprintf("session limit reached (%d active)", inUse)))
 	}
+	s.nextID++
+	c := &slot{
+		id:        s.nextID,
+		cid:       cid,
+		hello:     h,
+		resumable: resumable,
+		flight:    s.cfg.Flight.Scope(cid, h.Station),
+		conn:      conn,
+	}
+	s.sessions[c.id] = c
+	s.m.SessionsActive.Set(int64(len(s.sessions)))
+	return c, nil
+}
+
+// untrack drops an attached session.
+func (s *Server) untrack(c *slot) {
+	s.mu.Lock()
+	delete(s.sessions, c.id)
+	active := len(s.sessions)
+	s.mu.Unlock()
+	s.m.SessionsActive.Set(int64(active))
+}
+
+// reserve applies the memory budget, reserving est bytes on success.
+// Callers release via release().
+func (s *Server) reserve(est int64) *ServerError {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.cfg.MemoryBudget > 0 && s.memInUse+est > s.cfg.MemoryBudget {
-		return &ServerError{
-			Code:       ErrCodeOverload,
-			RetryAfter: s.retryAfter(),
-			Reason: fmt.Sprintf("memory budget exceeded (%d in use + %d requested > %d)",
-				s.memInUse, est, s.cfg.MemoryBudget),
-		}
+		return s.overload(fmt.Sprintf("memory budget exceeded (%d in use + %d requested > %d)",
+			s.memInUse, est, s.cfg.MemoryBudget))
 	}
 	s.memInUse += est
 	s.m.MemoryInUse.Set(s.memInUse)
@@ -336,6 +443,22 @@ func (s *Server) release(est int64) {
 	s.m.MemoryInUse.Set(s.memInUse)
 }
 
+// asServerError keeps a *ServerError's code and retry hint; any other
+// error becomes a generic one.
+func asServerError(err error) *ServerError {
+	var se *ServerError
+	if errors.As(err, &se) {
+		return se
+	}
+	return &ServerError{Reason: err.Error()}
+}
+
+// sendError writes err to the client as an ERROR frame.
+func sendError(conn net.Conn, err error) {
+	se := asServerError(err)
+	_ = WriteFrame(conn, FrameError, EncodeErrorBody(se.Code, se.RetryAfter, se.Reason))
+}
+
 // reject answers a handshake with a structured ERROR frame and closes
 // the connection.
 func (s *Server) reject(conn net.Conn, e *ServerError) {
@@ -343,36 +466,54 @@ func (s *Server) reject(conn net.Conn, e *ServerError) {
 	if e.Code == ErrCodeOverload {
 		s.m.OverloadRejected.Inc()
 	}
-	_ = WriteFrame(conn, FrameError, EncodeErrorBody(e.Code, e.RetryAfter, e.Reason))
+	sendError(conn, e)
 	conn.Close()
 }
 
+// badHello rejects a malformed handshake.
+func (s *Server) badHello(conn net.Conn, reason string) {
+	s.m.HelloErrors.Inc()
+	s.reject(conn, &ServerError{Reason: reason})
+}
+
+// refuse rejects an admission, leaving an overload shed's trail in the
+// flight recorder and the log.
+func (s *Server) refuse(conn net.Conn, cid string, h Hello, se *ServerError) {
+	remote := conn.RemoteAddr().String()
+	if se.Code == ErrCodeOverload {
+		s.m.StationSheds.With(h.Station).Inc()
+		s.cfg.Flight.Scope(cid, h.Station).RecordErr("shed",
+			"admission rejected under overload", se.Reason)
+		s.dumpFlight("session shed", cid,
+			"station", h.Station, "remote", remote, "reason", se.Reason)
+	}
+	s.warn("session rejected", "station", h.Station, "remote", remote, "reason", se.Reason)
+	s.reject(conn, se)
+}
+
 // handleConn runs one ingestion connection end to end: handshake
-// (HELLO or RESUME), admission or reclaim, then the frame loop.
+// (HELLO or RESUME), reclaim or admission, then the frame loop.
 func (s *Server) handleConn(conn net.Conn) {
 	if s.cfg.WrapConn != nil {
 		conn = s.cfg.WrapConn(conn)
 	}
 	br := bufio.NewReaderSize(conn, 64<<10)
-	idle := s.cfg.IdleTimeout
 
 	// Handshake. The HELLO must arrive within the idle timeout.
-	if idle > 0 {
+	if idle := s.cfg.IdleTimeout; idle > 0 {
 		_ = conn.SetReadDeadline(time.Now().Add(idle))
 	}
 	typ, body, err := ReadFrame(br)
 	if err != nil || (typ != FrameHello && typ != FrameResume) {
-		s.m.HelloErrors.Inc()
 		if err == nil {
 			err = fmt.Errorf("first frame type 0x%02x, want HELLO or RESUME", typ)
 		}
-		s.reject(conn, &ServerError{Reason: fmt.Sprintf("bad handshake: %v", err)})
+		s.badHello(conn, fmt.Sprintf("bad handshake: %v", err))
 		return
 	}
 	h, err := ParseHello(body)
 	if err != nil {
-		s.m.HelloErrors.Inc()
-		s.reject(conn, &ServerError{Reason: err.Error()})
+		s.badHello(conn, err.Error())
 		return
 	}
 	resumable := typ == FrameResume
@@ -381,56 +522,38 @@ func (s *Server) handleConn(conn net.Conn) {
 	// if none matches it falls through to a fresh resumable session
 	// starting at offset 0.
 	if resumable {
-		if p := s.awaitParked(h, conn); p != nil {
-			off := p.sess.Ingested()
-			if err := WriteFrame(conn, FrameOK, EncodeOffset(off)); err != nil {
-				s.parkOrFinish(p.sess, p.est, h, conn, true)
-				return
-			}
+		if c := s.awaitParked(h, conn); c != nil {
+			// Counted before the OK, so a client that sees the OK also
+			// sees the resume on the metrics.
 			s.m.ResumesTotal.Inc()
 			s.m.StationResumes.With(h.Station).Inc()
-			p.sess.flight.Record("session_resume",
-				fmt.Sprintf("reclaimed at sample offset %d", off))
-			s.info("session resumed", append(sessAttrs(p.sess),
-				"remote", conn.RemoteAddr().String(), "offset", off)...)
-			s.serveSession(p.sess, p.est, h, conn, br)
+			off := c.st.Ingested()
+			if err := WriteFrame(conn, FrameOK, EncodeOffset(off)); err != nil {
+				s.parkOrFinish(c, conn, true, nil)
+				return
+			}
+			c.flight.Record("session_resume", fmt.Sprintf("reclaimed at sample offset %d", off))
+			s.info("session resumed", c.attrs("remote", conn.RemoteAddr().String(), "offset", off)...)
+			s.serveSession(c, conn, br)
 			return
 		}
 	}
 
-	cfg := h.Config()
-	if err := cfg.Validate(); err != nil {
-		s.m.HelloErrors.Inc()
-		s.reject(conn, &ServerError{Reason: err.Error()})
+	if err := h.Config().Validate(); err != nil {
+		s.badHello(conn, err.Error())
 		return
 	}
-	est, err := EstimateMemoryBytes(cfg, s.cfg.Workers)
-	if err != nil {
-		s.m.HelloErrors.Inc()
-		s.reject(conn, &ServerError{Reason: err.Error()})
+	c, se := s.admit(h, resumable, conn)
+	if se != nil {
+		s.refuse(conn, MintCID(), h, se)
 		return
 	}
-	if aerr := s.admit(est); aerr != nil {
-		if aerr.Code == ErrCodeOverload {
-			s.m.StationSheds.With(h.Station).Inc()
-			cid := MintCID()
-			s.cfg.Flight.Scope(cid, h.Station).RecordErr("shed",
-				"admission rejected under overload", aerr.Reason)
-			s.dumpFlight("session shed", cid,
-				"station", h.Station, "remote", conn.RemoteAddr().String(),
-				"reason", aerr.Reason)
-		}
-		s.warn("session rejected", "station", h.Station,
-			"remote", conn.RemoteAddr().String(), "reason", aerr.Reason)
-		s.reject(conn, aerr)
+	if c.st, err = s.open(c.id, c.cid, h); err != nil {
+		s.untrack(c)
+		s.refuse(conn, c.cid, h, asServerError(err))
 		return
 	}
-	sess, err := s.newAdmittedSession(h, est, conn, resumable)
-	if err != nil {
-		s.release(est)
-		s.reject(conn, &ServerError{Reason: err.Error()})
-		return
-	}
+	s.m.SessionsTotal.Inc()
 	// A plain HELLO gets the empty OK of protocol v1; RESUME gets the
 	// starting offset (0 for a fresh session) so the client knows where
 	// replay would begin.
@@ -439,41 +562,37 @@ func (s *Server) handleConn(conn net.Conn) {
 		okBody = EncodeOffset(0)
 	}
 	if err := WriteFrame(conn, FrameOK, okBody); err != nil {
-		s.finishSession(sess, est, conn)
+		s.parkOrFinish(c, conn, resumable, nil)
 		return
 	}
-	sess.flight.Record("session_accept",
-		fmt.Sprintf("sf%d from %s", h.SF, conn.RemoteAddr()))
-	s.info("session accepted", append(sessAttrs(sess),
-		"remote", conn.RemoteAddr().String(), "sf", h.SF,
-		"resumable", resumable, "reserved_bytes", est)...)
-	s.serveSession(sess, est, h, conn, br)
+	c.flight.Record("session_accept", fmt.Sprintf("sf%d from %s", h.SF, conn.RemoteAddr()))
+	s.info("session accepted", c.attrs("remote", conn.RemoteAddr().String(),
+		"sf", h.SF, "resumable", resumable)...)
+	s.serveSession(c, conn, br)
 }
 
-// serveSession runs the frame loop for an established session and
-// tears it down: parking it when a resumable connection dies abnormally
-// (so RESUME can reclaim it), draining it otherwise. A panic anywhere
-// in the loop is contained to this session.
-func (s *Server) serveSession(sess *Session, est int64, h Hello, conn net.Conn, br *bufio.Reader) {
-	idle := s.cfg.IdleTimeout
-	park := false
+// serveSession runs the frame loop for an attached session and tears it
+// down: parking it when its connection ended for a reason the stream
+// may park on (so RESUME can reclaim it), abandoning it otherwise. A
+// panic anywhere in the loop is contained to this session.
+func (s *Server) serveSession(c *slot, conn net.Conn, br *bufio.Reader) {
+	park, cause, retired := false, error(nil), false
 	defer func() {
 		if v := recover(); v != nil {
 			s.m.PanicsRecovered.Inc()
-			sess.flight.RecordErr("handler_panic", "connection handler", fmt.Sprint(v))
-			s.logError("session handler panic", append(sessAttrs(sess), "panic", fmt.Sprint(v))...)
-			s.dumpFlight("session post-mortem", sess.CID, "trigger", "handler panic")
+			c.flight.RecordErr("handler_panic", "connection handler", fmt.Sprint(v))
+			s.logError("session handler panic", c.attrs("panic", fmt.Sprint(v))...)
+			s.dumpFlight("session post-mortem", c.cid, "trigger", "handler panic")
 			park = false
-		} else if ferr := sess.Failed(); ferr != nil {
-			// The session died of a decode incident (worker panic, decode
-			// deadline): snapshot its flight trail while the ring still
-			// holds it.
-			s.dumpFlight("session post-mortem", sess.CID, "trigger", ferr.Error())
 		}
-		s.parkOrFinish(sess, est, h, conn, park)
+		if retired {
+			conn.Close()
+			return
+		}
+		s.parkOrFinish(c, conn, park, cause)
 	}()
 
-	var iqBuf []complex128
+	idle := s.cfg.IdleTimeout
 	for {
 		if idle > 0 {
 			_ = conn.SetReadDeadline(time.Now().Add(idle))
@@ -483,95 +602,57 @@ func (s *Server) serveSession(sess *Session, est int64, h Hello, conn net.Conn, 
 			var ne net.Error
 			if errors.As(err, &ne) && ne.Timeout() {
 				s.m.IdleTimeouts.Inc()
-				sess.flight.Record("idle_timeout", "")
-				s.info("session idle timeout", sessAttrs(sess)...)
+				c.flight.Record("idle_timeout", "")
+				s.info("session idle timeout", c.attrs()...)
 			} else {
-				sess.flight.RecordErr("disconnect", "", err.Error())
-				s.info("session disconnected", append(sessAttrs(sess), "err", err.Error())...)
+				c.flight.RecordErr("disconnect", "", err.Error())
+				s.info("session disconnected", c.attrs("err", err.Error())...)
 				// Only an abnormal disconnect parks; an idle station has
 				// stopped on purpose and re-handshakes when it returns.
-				park = sess.Resumable
+				park = c.resumable
 			}
 			return
 		}
 		switch typ {
 		case FrameIQ:
-			iqBuf, err = DecodeIQBody(iqBuf[:0], body)
-			if err != nil {
-				s.warn("bad IQ frame", append(sessAttrs(sess), "err", err.Error())...)
-			} else {
-				err = sess.Write(iqBuf)
-			}
-			if err != nil {
-				// ErrGatewayClosed means Shutdown drained us mid-stream; a
-				// failed session carries its fault. Either way the session
-				// is over — a failed session is never parked.
-				_ = WriteFrame(conn, FrameError, EncodeErrorBody(ErrCodeGeneric, 0, err.Error()))
+			if err := c.st.Ingest(body); err != nil {
+				sendError(conn, err)
+				park, cause = c.resumable, err
 				return
 			}
-			s.m.FramesIngested.Inc()
-			s.m.BytesIngested.Add(int64(len(body)))
-			sess.stFrames.Inc()
-			sess.stBytes.Add(int64(len(body)))
-			if sess.Resumable {
-				if err := WriteFrame(conn, FrameAck, EncodeOffset(sess.Ingested())); err != nil {
-					s.info("session ack write failed", append(sessAttrs(sess), "err", err.Error())...)
+			if c.resumable {
+				if err := WriteFrame(conn, FrameAck, EncodeOffset(c.st.Ingested())); err != nil {
+					s.info("session ack write failed", c.attrs("err", err.Error())...)
 					park = true
 					return
 				}
 				s.m.ResumeAcks.Inc()
 			}
 		case FrameClose:
-			// Flush, publish everything, then acknowledge so the client
-			// knows its packets are out.
+			// Publish everything, then acknowledge so the client knows
+			// its packets are out. A failed drain is never OKed.
 			_ = conn.SetReadDeadline(time.Time{})
-			if err := sess.Drain(); err != nil {
-				s.warn("session drain failed", append(sessAttrs(sess), "err", err.Error())...)
+			if err := c.st.Drain(); err != nil {
+				s.warn("session drain failed", c.attrs("err", err.Error())...)
+				sendError(conn, err)
+				park, cause = c.resumable, err
+				return
 			}
+			// Retire the session before the OK: a client that reconnects
+			// on the OK must find it gone (cic-routerd refuses a second
+			// session for a station).
+			retired = true
+			s.retire(c)
 			_ = WriteFrame(conn, FrameOK, nil)
-			sess.flight.Record("session_close", "clean CLOSE")
-			s.info("session closed", sessAttrs(sess)...)
+			c.flight.Record("session_close", "clean CLOSE")
+			s.info("session closed", c.attrs()...)
 			return
 		default:
-			s.warn("unexpected frame type", append(sessAttrs(sess), "type", fmt.Sprintf("0x%02x", typ))...)
-			_ = WriteFrame(conn, FrameError,
-				EncodeErrorBody(ErrCodeGeneric, 0, fmt.Sprintf("unexpected frame type 0x%02x", typ)))
+			s.warn("unexpected frame type", c.attrs("type", fmt.Sprintf("0x%02x", typ))...)
+			sendError(conn, fmt.Errorf("unexpected frame type 0x%02x", typ))
 			return
 		}
 	}
-}
-
-// newAdmittedSession builds the session and tracks it.
-func (s *Server) newAdmittedSession(h Hello, est int64, conn net.Conn, resumable bool) (*Session, error) {
-	s.mu.Lock()
-	s.nextID++
-	id := s.nextID
-	s.mu.Unlock()
-	decodeTimeout := s.cfg.DecodeTimeout
-	if decodeTimeout < 0 {
-		decodeTimeout = 0
-	}
-	sess, err := NewSessionOpts(id, h, SessionOptions{
-		Workers:        s.cfg.Workers,
-		Metrics:        s.cfg.Metrics,
-		DecodeTimeout:  decodeTimeout,
-		Resumable:      resumable,
-		GatewayOptions: s.cfg.GatewayOptions,
-		Log:            s.log,
-		Flight:         s.cfg.Flight,
-	}, s.sink)
-	if err != nil {
-		return nil, err
-	}
-	sess.setMetrics(s.m)
-	s.mu.Lock()
-	s.sessions[id] = &activeSession{sess: sess, conn: conn}
-	active := len(s.sessions)
-	s.mu.Unlock()
-	s.m.SessionsTotal.Inc()
-	s.m.SessionsActive.Set(int64(active))
-	s.m.StationSessions.With(h.Station).Inc()
-	return sess, nil
 }
 
 // resumeGrace bounds how long a RESUME waits for the station's dying
@@ -585,27 +666,27 @@ const resumeGrace = 3 * time.Second
 // awaitParked reclaims the station's parked session, briefly waiting
 // out an in-flight park when the previous connection is still tearing
 // down (see resumeGrace).
-func (s *Server) awaitParked(h Hello, conn net.Conn) *parkedSession {
-	if p := s.resumeParked(h, conn); p != nil {
-		return p
+func (s *Server) awaitParked(h Hello, conn net.Conn) *slot {
+	if c := s.resumeParked(h, conn); c != nil {
+		return c
 	}
 	deadline := time.Now().Add(resumeGrace)
 	for s.hasActiveStation(h) && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
-		if p := s.resumeParked(h, conn); p != nil {
-			return p
+		if c := s.resumeParked(h, conn); c != nil {
+			return c
 		}
 	}
 	return nil
 }
 
 // hasActiveStation reports whether a resumable session for the station
-// is still attached to a connection.
+// is still attached to a connection or being abandoned.
 func (s *Server) hasActiveStation(h Hello) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, a := range s.sessions {
-		if a.sess.Resumable && a.sess.Station == h.Station {
+	for _, c := range s.sessions {
+		if c.resumable && c.hello.Station == h.Station {
 			return true
 		}
 	}
@@ -616,47 +697,54 @@ func (s *Server) hasActiveStation(h Hello) bool {
 // connection, returning nil when there is nothing to reclaim (no parked
 // session, a different stream configuration, the park timer already
 // fired, or the server is draining).
-func (s *Server) resumeParked(h Hello, conn net.Conn) *parkedSession {
+func (s *Server) resumeParked(h Hello, conn net.Conn) *slot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil
 	}
-	p := s.parked[h.Station]
-	if p == nil || p.hello != h {
+	c := s.parked[h.Station]
+	if c == nil || c.hello != h {
 		return nil
 	}
-	if !p.timer.Stop() {
+	if !c.timer.Stop() {
 		// The expiry fired and is waiting on the lock; let it drain.
 		return nil
 	}
 	delete(s.parked, h.Station)
-	s.sessions[p.sess.ID] = &activeSession{sess: p.sess, conn: conn}
+	c.conn, c.timer = conn, nil
+	s.sessions[c.id] = c
 	s.m.SessionsParked.Set(int64(len(s.parked)))
 	s.m.SessionsActive.Set(int64(len(s.sessions)))
-	return p
+	return c
 }
 
-// parkOrFinish tears a session down after its connection ends: a
-// healthy resumable session is parked for the resume window (when park
-// is set and parking is enabled); anything else drains immediately.
-func (s *Server) parkOrFinish(sess *Session, est int64, h Hello, conn net.Conn, park bool) {
-	if park && sess.Failed() == nil && s.parkSession(sess, est, h) {
+// parkOrFinish tears a session down after its connection ends: parked
+// for the resume window when park is set, the stream allows it after
+// cause and parking is enabled; abandoned otherwise.
+func (s *Server) parkOrFinish(c *slot, conn net.Conn, park bool, cause error) {
+	if park && c.st.MayPark(cause) && s.parkSession(c) {
 		conn.Close()
-		sess.flight.Record("session_park",
-			fmt.Sprintf("resume window %v", s.cfg.ParkTimeout))
-		s.info("session parked", append(sessAttrs(sess),
-			"resume_window", s.cfg.ParkTimeout)...)
+		c.flight.Record("session_park", fmt.Sprintf("resume window %v", s.cfg.ParkTimeout))
+		s.info("session parked", c.attrs("resume_window", s.cfg.ParkTimeout)...)
 		return
 	}
-	s.finishSession(sess, est, conn)
+	s.retire(c)
+	conn.Close()
+}
+
+// retire abandons a session no connection will carry again and untracks
+// it.
+func (s *Server) retire(c *slot) {
+	c.st.Abandon()
+	s.untrack(c)
 }
 
 // parkSession moves a session from the active set to the parked map,
-// starting its expiry timer. Fails (→ caller drains) when parking is
+// starting its expiry timer. Fails (→ caller abandons) when parking is
 // disabled, the server is draining, or the station already has a parked
 // session.
-func (s *Server) parkSession(sess *Session, est int64, h Hello) bool {
+func (s *Server) parkSession(c *slot) bool {
 	if s.cfg.ParkTimeout <= 0 {
 		return false
 	}
@@ -665,55 +753,44 @@ func (s *Server) parkSession(sess *Session, est int64, h Hello) bool {
 	if s.closed {
 		return false
 	}
-	if _, dup := s.parked[sess.Station]; dup {
+	station := c.hello.Station
+	if _, dup := s.parked[station]; dup {
 		return false
 	}
-	delete(s.sessions, sess.ID)
-	p := &parkedSession{sess: sess, est: est, hello: h}
-	p.timer = time.AfterFunc(s.cfg.ParkTimeout, func() { s.expirePark(sess.Station, p) })
-	s.parked[sess.Station] = p
+	delete(s.sessions, c.id)
+	c.conn = nil
+	c.timer = time.AfterFunc(s.cfg.ParkTimeout, func() { s.expirePark(c) })
+	s.parked[station] = c
 	s.m.SessionsActive.Set(int64(len(s.sessions)))
 	s.m.SessionsParked.Set(int64(len(s.parked)))
 	return true
 }
 
-// expirePark drains a parked session whose resume window elapsed.
-func (s *Server) expirePark(station string, p *parkedSession) {
+// expirePark abandons a parked session whose resume window elapsed.
+func (s *Server) expirePark(c *slot) {
 	s.mu.Lock()
-	if s.parked[station] != p {
+	if s.parked[c.hello.Station] != c {
 		s.mu.Unlock()
 		return
 	}
-	delete(s.parked, station)
-	parked := len(s.parked)
+	delete(s.parked, c.hello.Station)
+	// Until it is abandoned the session counts as attached, so a RESUME
+	// racing the expiry waits the abandon out (see awaitParked) instead
+	// of being admitted beside it.
+	s.sessions[c.id] = c
+	s.m.SessionsParked.Set(int64(len(s.parked)))
+	s.m.SessionsActive.Set(int64(len(s.sessions)))
 	s.mu.Unlock()
-	s.m.SessionsParked.Set(int64(parked))
 	s.m.ResumesExpired.Inc()
-	p.sess.flight.Record("park_expire", "resume window elapsed, draining")
-	s.info("session resume window expired", sessAttrs(p.sess)...)
-	if err := p.sess.Drain(); err != nil {
-		s.warn("session expiry drain failed", append(sessAttrs(p.sess), "err", err.Error())...)
-	}
-	s.release(p.est)
+	c.flight.Record("park_expire", "resume window elapsed, draining")
+	s.info("session resume window expired", c.attrs()...)
+	s.retire(c)
 }
 
-// finishSession drains (idempotent — publishes any still-buffered
-// packets), untracks and closes one session.
-func (s *Server) finishSession(sess *Session, est int64, conn net.Conn) {
-	_ = sess.Drain()
-	conn.Close()
-	s.mu.Lock()
-	delete(s.sessions, sess.ID)
-	active := len(s.sessions)
-	s.mu.Unlock()
-	s.m.SessionsActive.Set(int64(active))
-	s.release(est)
-}
-
-// Shutdown drains the daemon gracefully: stop accepting, flush every
-// session's Gateway (parked sessions included, publishing all
-// fully-buffered packets), close the connections, and wait for the
-// handlers — bounded by ctx. The sink is left open; close it after
+// Shutdown drains the daemon gracefully: stop accepting, close every
+// attached connection (its handler then abandons the session, which
+// publishes what it buffered), abandon the parked sessions, and wait for
+// the handlers — bounded by ctx. The sink is left open; close it after
 // Shutdown so late records are not lost.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
@@ -725,41 +802,31 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	for ln := range s.listeners {
 		ln.Close()
 	}
-	active := make([]*activeSession, 0, len(s.sessions))
-	for _, a := range s.sessions {
-		active = append(active, a)
+	attached := make([]net.Conn, 0, len(s.sessions))
+	for _, c := range s.sessions {
+		if c.conn != nil { // nil while a park expiry abandons it
+			attached = append(attached, c.conn)
+		}
 	}
-	idle := make([]*parkedSession, 0, len(s.parked))
-	for _, p := range s.parked {
-		p.timer.Stop()
-		idle = append(idle, p)
+	idle := make([]*slot, 0, len(s.parked))
+	for _, c := range s.parked {
+		c.timer.Stop()
+		idle = append(idle, c)
 	}
-	s.parked = map[string]*parkedSession{}
+	s.parked = map[string]*slot{}
 	s.mu.Unlock()
 	s.m.SessionsParked.Set(0)
 
-	// Flush sessions concurrently; closing each connection afterwards
-	// unblocks its reader so the handler can finish.
-	var wg sync.WaitGroup
-	for _, a := range active {
-		wg.Add(1)
-		go func(a *activeSession) {
-			defer wg.Done()
-			if err := a.sess.Drain(); err != nil {
-				s.warn("session shutdown drain failed", append(sessAttrs(a.sess), "err", err.Error())...)
-			}
-			a.conn.Close()
-		}(a)
+	for _, conn := range attached {
+		conn.Close()
 	}
-	for _, p := range idle {
+	var wg sync.WaitGroup
+	for _, c := range idle {
 		wg.Add(1)
-		go func(p *parkedSession) {
+		go func(c *slot) {
 			defer wg.Done()
-			if err := p.sess.Drain(); err != nil {
-				s.warn("session shutdown drain failed", append(sessAttrs(p.sess), "err", err.Error())...)
-			}
-			s.release(p.est)
-		}(p)
+			c.st.Abandon()
+		}(c)
 	}
 	flushed := make(chan struct{})
 	go func() {

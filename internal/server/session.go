@@ -16,18 +16,14 @@ import (
 
 // Session is one ingestion stream: a dedicated cic.Gateway plus the
 // publisher goroutine that forwards its decoded packets to the sink as
-// Records. The daemon runs one per connection; a *resumable* session
-// (opened with FrameResume) can outlive its connection — the server
-// parks it on disconnect and a reconnecting client picks it up again.
-// Tests construct Sessions directly.
+// Records. cic-gatewayd's lifecycle runs one per client session (and
+// keeps it across reconnects while the session is parked); tests
+// construct Sessions directly.
 type Session struct {
 	// ID is the server-assigned session number (unique per Server).
 	ID uint64
 	// Station is the HELLO station identifier.
 	Station string
-	// Resumable records that the session was opened with FrameResume:
-	// the server acks ingestion progress and parks it on disconnect.
-	Resumable bool
 	// CID is the session correlation id minted at HELLO; it survives
 	// park/resume, stamping every log line and flight event of the
 	// stream's whole life across reconnects.
@@ -53,11 +49,6 @@ type Session struct {
 	stPktFail *obs.Counter
 	sfPktOK   *obs.Counter
 	sfPktFail *obs.Counter
-
-	// MemoryBytes is the session's accounted footprint: the gateway ring
-	// (3× the max packet) plus up to 2×workers in-flight sample
-	// snapshots, at 16 bytes per complex128.
-	MemoryBytes int64
 
 	// ingested counts samples accepted into the Gateway — the resume
 	// offset acked to resumable clients. writeTimeout bounds one Write's
@@ -97,8 +88,6 @@ type SessionOptions struct {
 	// session fails (and is drained) rather than wedging its connection
 	// handler forever (0 = unbounded).
 	DecodeTimeout time.Duration
-	// Resumable marks the session resumable (see Session.Resumable).
-	Resumable bool
 	// GatewayOptions are appended to the per-session Gateway's options
 	// (after the defaults, so they may override WithWorkers etc.).
 	GatewayOptions []cic.Option
@@ -135,7 +124,6 @@ func NewSessionOpts(id uint64, h Hello, o SessionOptions, sink *Fanout) (*Sessio
 	s := &Session{
 		ID:           id,
 		Station:      h.Station,
-		Resumable:    o.Resumable,
 		CID:          cid,
 		sink:         sink,
 		m:            newServerMetrics(nil, 0),
@@ -164,11 +152,6 @@ func NewSessionOpts(id uint64, h Hello, o SessionOptions, sink *Fanout) (*Sessio
 		return nil, err
 	}
 	s.gw = gw
-	workers := o.Workers
-	if workers <= 0 {
-		workers = gw.Workers()
-	}
-	s.MemoryBytes = gw.MaxPacketSamples() * 16 * int64(3+2*workers)
 	go s.publish()
 	return s, nil
 }
@@ -314,12 +297,84 @@ func (s *Session) Drain() error {
 	return err
 }
 
-// Stats exposes the shared registry snapshot (zero when detached).
-func (s *Session) Stats() cic.Stats { return s.gw.Stats() }
+// openDecode is cic-gatewayd's admission: it reserves the session's
+// estimated footprint against the memory budget and builds a decoding
+// Session for the stream.
+func (s *Server) openDecode(id uint64, cid string, h Hello) (Stream, error) {
+	est, err := EstimateMemoryBytes(h.Config(), s.cfg.Workers)
+	if err != nil {
+		s.m.HelloErrors.Inc()
+		return nil, err
+	}
+	if se := s.reserve(est); se != nil {
+		return nil, se
+	}
+	decodeTimeout := s.cfg.DecodeTimeout
+	if decodeTimeout < 0 {
+		decodeTimeout = 0
+	}
+	sess, err := NewSessionOpts(id, h, SessionOptions{
+		Workers:        s.cfg.Workers,
+		Metrics:        s.cfg.Metrics,
+		DecodeTimeout:  decodeTimeout,
+		GatewayOptions: s.cfg.GatewayOptions,
+		CID:            cid,
+		Log:            s.log,
+		Flight:         s.cfg.Flight,
+	}, s.sink)
+	if err != nil {
+		s.release(est)
+		return nil, err
+	}
+	sess.setMetrics(s.m)
+	s.m.StationSessions.With(h.Station).Inc()
+	return &decodeStream{Session: sess, srv: s, est: est}, nil
+}
 
-// String identifies the session in logs.
-func (s *Session) String() string {
-	return fmt.Sprintf("session %d (station %q)", s.ID, s.Station)
+// decodeStream is cic-gatewayd's Stream: IQ frames decode into the
+// session's Gateway, and the admission reservation is held until the
+// stream is abandoned. A failed session never parks.
+type decodeStream struct {
+	*Session
+	srv   *Server
+	est   int64
+	iqBuf []complex128
+}
+
+func (d *decodeStream) Ingest(body []byte) error {
+	iq, err := DecodeIQBody(d.iqBuf[:0], body)
+	if err != nil {
+		if d.log != nil {
+			d.log.Warn("bad IQ frame", "err", err.Error())
+		}
+		return err
+	}
+	d.iqBuf = iq
+	// ErrGatewayClosed means the session was drained under us; a failed
+	// session carries its fault. Either way the session is over.
+	if err := d.Write(iq); err != nil {
+		return err
+	}
+	d.m.FramesIngested.Inc()
+	d.m.BytesIngested.Add(int64(len(body)))
+	d.stFrames.Inc()
+	d.stBytes.Add(int64(len(body)))
+	return nil
+}
+
+func (d *decodeStream) MayPark(cause error) bool { return cause == nil && d.Failed() == nil }
+
+func (d *decodeStream) Abandon() {
+	if ferr := d.Failed(); ferr != nil {
+		// The session died of a decode incident (worker panic, decode
+		// deadline): snapshot its flight trail while the ring still
+		// holds it.
+		d.srv.dumpFlight("session post-mortem", d.CID, "trigger", ferr.Error())
+	}
+	if err := d.Drain(); err != nil && d.log != nil {
+		d.log.Warn("session drain failed", "err", err.Error())
+	}
+	d.srv.release(d.est)
 }
 
 // MintCID returns a fresh session correlation id (8 random bytes,

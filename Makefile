@@ -60,7 +60,7 @@ perfbench-test:
 # committed config under experiments/). One iteration each — a smoke test
 # that the benches run, not a measurement (use bench-gateway for numbers).
 bench:
-	$(GO) test -run '^$$' -bench 'GatewayStream|FFT1024|FFT4096|ForwardWindowed1024|ForwardReal1024|DFTBin1024|BinProbe1024|DechirpAndFold|MustPlanParallel|CICSymbol|Fig12to14|Fig15|Fig17|Fig19to20|Fig22to26|Fig27|Fig38' -benchtime=1x ./ ./internal/dsp/
+	$(GO) test -run '^$$' -bench 'GatewayStream|PreambleScanDownchirp|FFT1024|FFT4096|ForwardWindowed1024|ForwardReal1024|DFTBin1024|BinProbe1024|DechirpAndFold|MustPlanParallel|CICSymbol|Fig12to14|Fig15|Fig17|Fig19to20|Fig22to26|Fig27|Fig38' -benchtime=1x ./ ./internal/dsp/
 
 # Measured gateway streaming throughput at 1/4/GOMAXPROCS workers;
 # baselines recorded in BENCH_gateway.json.
@@ -70,10 +70,11 @@ bench-gateway:
 # Re-record BENCH_gateway.json from a measured run: the gateway streaming
 # benchmark (including the instrumentation-overhead sub-benchmark, which
 # asserts the <=2% budget at >=10 iterations whenever the host is quiet
-# enough to resolve it) piped through cic-bench into the checked-in JSON
-# shape.
+# enough to resolve it) and the down-chirp preamble scan, piped through
+# cic-bench into the checked-in JSON shape.
 bench-json:
-	$(GO) test -run '^$$' -bench 'GatewayStream' -benchtime=10x ./ | $(GO) run ./cmd/cic-bench -out BENCH_gateway.json
+	$(GO) test -run '^$$' -bench 'GatewayStream|PreambleScanDownchirp' -benchtime=10x ./ | $(GO) run ./cmd/cic-bench -out BENCH_gateway.json \
+		-description "Streaming ingest throughput through the Gateway's pipelined decode path on a 3-packet-collision trace, and the down-chirp preamble scan over a 3-packet collision (make bench-json)."
 
 # Re-record the full benchmark matrix: the gateway streaming record
 # (bench-json) plus the DSP kernel record. Run on the machine whose

@@ -159,6 +159,7 @@ func BenchmarkPreambleScanDownchirp(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		det.ScanDownchirp(src)

@@ -54,6 +54,36 @@ func FoldMagnitude(dst Spectrum, x []complex128, bins, osr int) Spectrum {
 	return dst
 }
 
+// FoldPower is FoldMagnitude on an M-grid power spectrum p (p[k] = |X[k]|²)
+// instead of the complex FFT output: it adds the two images' amplitudes,
+// √p[k] + √p[k+(osr-1)·bins], and squares the sum. Given powers computed as
+// re·re + im·im it returns FoldMagnitude's result bit for bit, so a caller
+// that keeps the power spectrum can fold it without the complex transform.
+// Like FoldMagnitude it is total: a dst of the wrong length is reallocated
+// and a short p is treated as zero-extended.
+func FoldPower(dst, p Spectrum, bins, osr int) Spectrum {
+	if len(dst) != bins {
+		dst = make(Spectrum, bins) //cic:alloc-ok: warm-up reallocation for a mismatched dst — steady-state callers pass the right-sized scratch and never allocate
+	}
+	if osr == 1 {
+		n := copy(dst, p)
+		clear(dst[n:])
+		return dst
+	}
+	hi := (osr - 1) * bins
+	for k := 0; k < bins; k++ {
+		var a float64
+		if k < len(p) {
+			a = math.Sqrt(p[k])
+		}
+		if hi+k < len(p) {
+			a += math.Sqrt(p[hi+k])
+		}
+		dst[k] = a * a
+	}
+	return dst
+}
+
 // Energy returns the total power in the spectrum.
 func (s Spectrum) Energy() float64 {
 	var e float64

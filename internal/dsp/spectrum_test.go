@@ -26,6 +26,33 @@ func TestFoldMagnitudeOSR1(t *testing.T) {
 	}
 }
 
+// TestFoldPowerMatchesFoldMagnitude: folding the squared FFT output is
+// bit-identical to folding the FFT output, at every oversampling ratio
+// and for short inputs.
+func TestFoldPowerMatchesFoldMagnitude(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	const bins = 64
+	for _, osr := range []int{1, 2, 4, 8} {
+		for _, size := range []int{bins * osr, bins*osr - 3} {
+			x := make([]complex128, size)
+			for i := range x {
+				x[i] = complex(r.NormFloat64()*100, r.NormFloat64()*100)
+			}
+			p := make(Spectrum, size)
+			for i, v := range x {
+				p[i] = real(v)*real(v) + imag(v)*imag(v)
+			}
+			want := FoldMagnitude(nil, x, bins, osr)
+			got := FoldPower(nil, p, bins, osr)
+			for k := range want {
+				if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+					t.Fatalf("osr %d, len %d: bin %d = %v, FoldMagnitude %v", osr, size, k, got[k], want[k])
+				}
+			}
+		}
+	}
+}
+
 func TestFoldMagnitudeSumsImages(t *testing.T) {
 	bins, osr := 4, 4
 	x := make([]complex128, bins*osr)

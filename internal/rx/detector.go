@@ -119,6 +119,15 @@ type Detector struct {
 	vSpec  []dsp.Spectrum
 	vFloor []float64
 
+	// Memo of the whole-symbol power spectra transformed since the top of
+	// the current resolveCandidates or Synchronize call (see power): the
+	// entries' keys, their spectra (memoCap·m values, allocated on the
+	// first fill), and the number of fills in this call. Fill i goes to
+	// slot i mod memoCap, so the oldest entry is evicted first.
+	memoKeys  [memoCap]memoKey
+	memoSpec  dsp.Spectrum
+	memoFills int
+
 	// Down-chirp anchors found but not yet resolved, carried across
 	// range calls (see resolveCandidates). An anchor lies within spread of
 	// the window that found it, and align reads no further than reach
@@ -201,25 +210,70 @@ func preStartOf(dcStart int64, m int) int64 {
 	return dcStart - int64(dcRegionOffset*m)
 }
 
-// mgrid FFTs the de-chirped window onto the M grid and squares it into the
-// detector's scratch power spectrum (valid until the next mgrid call).
+// mgrid FFTs the de-chirped window onto the M grid and squares it into dst
+// (len m).
 //
 //cic:hotpath
-func (det *Detector) mgrid(dd []complex128) dsp.Spectrum {
+func (det *Detector) mgrid(dst dsp.Spectrum, dd []complex128) dsp.Spectrum {
 	det.d.FFT().ForwardInto(det.fftTmp, dd)
-	return det.mgridFromTmp()
+	for i, v := range det.fftTmp {
+		dst[i] = real(v)*real(v) + imag(v)*imag(v)
+	}
+	return dst
 }
 
-// mgridFromTmp squares det.fftTmp (already transformed) into the M-grid
-// scratch spectrum — the tail half of mgrid for callers that ran the FFT
-// themselves.
+// memoCap is the number of window spectra the memo keeps. Refining one
+// anchor reads a few dozen distinct windows, most of them more than once
+// (see docs/PERFORMANCE.md §Detection for the measured hit rates).
+const memoCap = 32
+
+// memoKey identifies one memoised window: its first sample, whether it is
+// de-chirped down (DechirpDown) or up (Dechirp), and the exact CFO it is
+// de-rotated by.
+type memoKey struct {
+	start int64
+	down  bool
+	cfoHz float64
+}
+
+// resetMemo forgets every memoised spectrum. resolveCandidates and
+// Synchronize call it first, so no entry outlives one call over an
+// unchanged source: output does not depend on how a stream is chunked
+// into calls, nor on what a ring evicts between them.
+func (det *Detector) resetMemo() {
+	det.memoFills = 0
+}
+
+// power returns the M-grid power spectrum of the whole-symbol window at
+// start, de-chirped down or up and de-rotated by cfoHz — the read, de-chirp,
+// CFO, FFT and square sequence behind align, refineHypothesis and
+// downchirpAligned. Repeats of a window within one call are served from a
+// FIFO memo of memoCap entries. The result is valid until memoCap further
+// windows have been transformed; callers consume it before the next call.
 //
 //cic:hotpath
-func (det *Detector) mgridFromTmp() dsp.Spectrum {
-	for i, v := range det.fftTmp {
-		det.mag[i] = real(v)*real(v) + imag(v)*imag(v)
+func (det *Detector) power(src SampleSource, start int64, down bool, cfoHz float64) dsp.Spectrum {
+	m := len(det.win)
+	key := memoKey{start, down, cfoHz}
+	for i := range min(det.memoFills, memoCap) {
+		if det.memoKeys[i] == key {
+			return det.memoSpec[i*m : (i+1)*m : (i+1)*m]
+		}
 	}
-	return det.mag
+	if det.memoSpec == nil {
+		det.memoSpec = make(dsp.Spectrum, memoCap*m) //cic:alloc-ok — one-time memo storage, on the first fill so idle detectors pay nothing
+	}
+	i := det.memoFills % memoCap
+	det.memoFills++
+	det.memoKeys[i] = key
+	src.Read(det.win, start)
+	if down {
+		det.d.Generator().DechirpDown(det.dd, det.win)
+	} else {
+		det.d.Generator().Dechirp(det.dd, det.win)
+	}
+	det.d.ApplyCFO(det.dd, cfoHz)
+	return det.mgrid(det.memoSpec[i*m:(i+1)*m:(i+1)*m], det.dd)
 }
 
 // ScanDownchirp searches the whole source with CIC's down-chirp method and
@@ -255,7 +309,7 @@ func (det *Detector) ScanDownchirpRange(src SampleSource, start, end int64, trac
 		det.opts.Metrics.DetectWindows.Inc()
 		src.Read(det.win, p)
 		gen.DechirpDown(det.dd, det.win)
-		mag := det.mgrid(det.dd)
+		mag := det.mgrid(det.mag, det.dd)
 		meanPow := 0.0
 		for _, v := range mag {
 			meanPow += v
@@ -412,7 +466,7 @@ func (det *Detector) localDownchirp(src SampleSource, from int64, symbols int) (
 	for p := from; p < from+int64(symbols*m); p += int64(m / 2) {
 		src.Read(det.win, p)
 		gen.DechirpDown(det.dd, det.win)
-		mag := det.mgrid(det.dd)
+		mag := det.mgrid(det.mag, det.dd)
 		meanPow := 0.0
 		for _, v := range mag {
 			meanPow += v
@@ -459,6 +513,7 @@ func (det *Detector) resolveCandidates(src SampleSource, end int64, tracked []*P
 	m := int64(det.cfg.Chirp.SamplesPerSymbol())
 	_, avail := src.Span()
 	final := end >= avail
+	det.resetMemo()
 	var pkts []*Packet
 	slices.Sort(det.anchors)
 	done := 0
@@ -537,6 +592,7 @@ func abs64(x int64) int64 {
 //
 //cic:hotpath
 func (det *Detector) Synchronize(src SampleSource, dcAnchor int64) (*Packet, bool) {
+	det.resetMemo()
 	pkt, ok := det.align(src, dcAnchor)
 	if !ok {
 		return nil, false
@@ -564,15 +620,10 @@ func (det *Detector) align(src SampleSource, dcAnchor int64) (Packet, bool) {
 	cfg := det.cfg
 	m := cfg.Chirp.SamplesPerSymbol()
 	n := cfg.Chirp.ChipCount()
-	gen := det.d.Generator()
-	fft := det.d.FFT()
 
 	// Measure the down-chirp tone once at the anchor — concurrent data
 	// up-chirps spread under DechirpDown, so its global peak is ours.
-	src.Read(det.win, dcAnchor)
-	gen.DechirpDown(det.dd, det.win)
-	mag := det.mgrid(det.dd)
-	_, at := mag.Max()
+	_, at := det.power(src, dcAnchor, true, 0).Max()
 	if at < 0 {
 		return Packet{}, false
 	}
@@ -587,10 +638,7 @@ func (det *Detector) align(src SampleSource, dcAnchor int64) (Packet, bool) {
 	clear(counts)
 	preStart := preStartOf(dcAnchor, m)
 	for _, sym := range []int{2, 3, 4, 5} {
-		src.Read(det.win, preStart+int64(sym*m))
-		gen.Dechirp(det.dd, det.win)
-		fft.ForwardInto(det.fftTmp, det.dd)
-		dsp.FoldMagnitude(det.spec, det.fftTmp, n, det.cfg.Chirp.OSR)
+		dsp.FoldPower(det.spec, det.power(src, preStart+int64(sym*m), false, 0), n, cfg.Chirp.OSR)
 		// The folded spectrum combines each tone's OSR images into one bin,
 		// so a handful of strong interferers cannot crowd a weak packet's
 		// tone out of the peak list.
@@ -652,15 +700,12 @@ func (det *Detector) refineHypothesis(src SampleSource, dcAnchor int64, bUpHypo 
 	m := cfg.Chirp.SamplesPerSymbol()
 	n := cfg.Chirp.ChipCount()
 	osr := cfg.Chirp.OSR
-	gen := det.d.Generator()
 
 	dcStart := dcAnchor
 	var cfoBins float64
 	expectUp := bUpHypo
 	for iter := 0; iter < 3; iter++ {
-		src.Read(det.win, dcStart)
-		gen.DechirpDown(det.dd, det.win)
-		mag := det.mgrid(det.dd)
+		mag := det.power(src, dcStart, true, 0)
 		var bDown float64
 		var pDown float64
 		if iter == 0 {
@@ -679,9 +724,7 @@ func (det *Detector) refineHypothesis(src SampleSource, dcAnchor int64, bUpHypo 
 		preStart := preStartOf(dcStart, m)
 		bUps := det.bUpsBuf[:0]
 		for _, sym := range []int{2, 3, 4, 5} {
-			src.Read(det.win, preStart+int64(sym*m))
-			gen.Dechirp(det.dd, det.win)
-			umag := det.mgrid(det.dd)
+			umag := det.power(src, preStart+int64(sym*m), false, 0)
 			// Search near the expected bin on both OSR images.
 			b1, p1 := nearestPeak(umag, expectUp, 3)
 			b2, p2 := nearestPeak(umag, expectUp+float64((osr-1)*n), 3)
@@ -717,8 +760,7 @@ func (det *Detector) refineHypothesis(src SampleSource, dcAnchor int64, bUpHypo 
 	// the caller keeps is promoted to the heap (keep), so rejected and
 	// duplicate alignments (the common case while scanning) cost nothing.
 	for k := range det.vSpec {
-		det.d.LoadWindow(src, base+int64((k-1)*m), cfoHz)
-		copy(det.vSpec[k], det.d.FoldedSpectrum())
+		dsp.FoldPower(det.vSpec[k], det.power(src, base+int64((k-1)*m), false, cfoHz), n, osr)
 		det.vFloor[k] = dsp.NoiseFloorInto(det.nfTmp, det.vSpec[k])
 	}
 	var best Packet
@@ -748,7 +790,7 @@ func (det *Detector) refineEffectiveCFO(src SampleSource, pkt *Packet) {
 	fracs := det.fracsBuf[:0]
 	for i := 0; i < frame.PreambleUpchirps; i++ {
 		d.LoadWindow(src, pkt.Start+int64(i*m), pkt.CFOHz)
-		mag := det.mgrid(d.Dechirped())
+		mag := det.mgrid(det.mag, d.Dechirped())
 		// The preamble tone (k=0) should sit at M-grid bin ~0; search ±2
 		// bins then zoom.
 		pos, pow := nearestPeak(mag, 0, 2)
@@ -855,18 +897,10 @@ func (det *Detector) verify(src SampleSource, pkt *Packet, specs []dsp.Spectrum,
 //
 //cic:hotpath
 func (det *Detector) downchirpAligned(src SampleSource, pkt *Packet) bool {
-	cfg := det.cfg
-	m := cfg.Chirp.SamplesPerSymbol()
-	gen := det.d.Generator()
+	m := det.cfg.Chirp.SamplesPerSymbol()
 	var peaks [frame.DownchirpsWhole]float64
 	for dc := 0; dc < frame.DownchirpsWhole; dc++ {
-		src.Read(det.win, pkt.Start+int64((dcRegionOffset+dc)*m))
-		gen.DechirpDown(det.dd, det.win)
-		// The demodulator's cached per-packet rotation table removes the
-		// CFO (identical math to a per-sample Sincos loop, but the table
-		// is rebuilt only when the packet's estimate changes).
-		det.d.ApplyCFO(det.dd, pkt.CFOHz)
-		mag := det.mgrid(det.dd)
+		mag := det.power(src, pkt.Start+int64((dcRegionOffset+dc)*m), true, pkt.CFOHz)
 		meanPow := 0.0
 		for _, v := range mag {
 			meanPow += v

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -310,6 +311,48 @@ func TestServerBadHello(t *testing.T) {
 				t.Fatalf("%s = %d, want 1", fe.rejected, got)
 			}
 		})
+	}
+}
+
+// TestServerProbeNotCounted: a connection closed before its first byte
+// (a TCP liveness probe) counts as neither a hello error nor a rejected
+// session, while a connection that sends one garbage byte and closes
+// still counts once on each.
+func TestServerProbeNotCounted(t *testing.T) {
+	srv, addr, _, reg := chaosServer(t, server.Config{})
+	for i := 0; i < 8; i++ {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.Close()
+	}
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte{0xff}); err != nil {
+		t.Fatal(err)
+	}
+	conn.(*net.TCPConn).CloseWrite()
+	// The server hangs up once it has handled the garbage byte. It
+	// accepts in arrival order, so by then every probe is accepted too,
+	// and Shutdown waits for every accepted connection's handler.
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	counters := reg.Snapshot().Counters
+	for _, name := range []string{server.MetricHelloErrors, server.MetricSessionsRejected} {
+		if got := counters[name]; got != 1 {
+			t.Errorf("%s = %d after 8 probes and one garbage byte, want 1", name, got)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"runtime"
@@ -85,13 +86,9 @@ type Config struct {
 	// a development hook (e.g. cic.WithDecodeInterceptor for chaos
 	// tests); nil for production use.
 	GatewayOptions []cic.Option
-	// Logf logs connection-level events (silent when nil). Superseded by
-	// Log: when both are set Log wins; when only Logf is set the daemon's
-	// structured events are rendered to it as "msg key=value" lines.
-	Logf func(format string, args ...any)
 	// Log receives structured session-lifecycle events (accept, resume,
 	// park, shed, panic post-mortems), each stamped with the session's
-	// correlation id. Nil falls back to Logf (or silence).
+	// correlation id. Nil is silent.
 	Log *slog.Logger
 	// Flight, when set, records session transitions and decode incidents
 	// into a lock-free ring for post-mortems: mount it at /debug/flight
@@ -125,7 +122,7 @@ type Server struct {
 	cfg  Config
 	m    *serverMetrics
 	sink *Fanout
-	log  *slog.Logger // resolved from Config.Log / Config.Logf (nil = silent)
+	log  *slog.Logger // Config.Log (nil = silent)
 	name string       // FrontEnd.Name ("" for cic-gatewayd)
 	open func(id uint64, cid string, h Hello) (Stream, error)
 
@@ -263,9 +260,6 @@ func newServer(cfg Config, m *serverMetrics) *Server {
 		sessions:  map[uint64]*slot{},
 		parked:    map[string]*slot{},
 		listeners: map[net.Listener]struct{}{},
-	}
-	if s.log == nil && cfg.Logf != nil {
-		s.log = slog.New(logfHandler{logf: cfg.Logf})
 	}
 	s.sink.setMetrics(s.m)
 	return s
@@ -504,6 +498,12 @@ func (s *Server) handleConn(conn net.Conn) {
 		_ = conn.SetReadDeadline(time.Now().Add(idle))
 	}
 	typ, body, err := ReadFrame(br)
+	if errors.Is(err, io.EOF) {
+		// Closed before its first byte: a liveness probe (cic-routerd's
+		// backend probe, any TCP health check), not a failed handshake.
+		conn.Close()
+		return
+	}
 	if err != nil || (typ != FrameHello && typ != FrameResume) {
 		if err == nil {
 			err = fmt.Errorf("first frame type 0x%02x, want HELLO or RESUME", typ)

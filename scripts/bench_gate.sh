@@ -14,8 +14,8 @@ cd "$(dirname "$0")/.."
 
 GO=${GO:-go}
 
-echo "bench-gate: gateway streaming pipeline vs BENCH_gateway.json"
-$GO test -run '^$' -bench 'GatewayStream' -benchtime=10x ./ \
+echo "bench-gate: gateway streaming pipeline and preamble scan vs BENCH_gateway.json"
+$GO test -run '^$' -bench 'GatewayStream|PreambleScanDownchirp' -benchtime=10x ./ \
 	| $GO run ./cmd/cic-bench -gate BENCH_gateway.json
 
 echo "bench-gate: DSP kernels vs BENCH_dsp.json"

@@ -121,8 +121,7 @@ smoke:
 	./scripts/smoke.sh
 
 # Declarative experiment harness smoke: the committed downscaled config
-# (experiments/smoke.json) end-to-end in both drive modes — in-process
-# and through a spawned cic-gatewayd — including a kill mid-matrix whose
+# (experiments/smoke.json) end-to-end, including a kill mid-matrix whose
 # journal resume must aggregate byte-identically. See
 # scripts/experiments_smoke.sh.
 experiments-smoke:

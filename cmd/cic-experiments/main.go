@@ -13,9 +13,8 @@
 // configs expand into a deterministic deployment × rate × seed trial
 // matrix executed on a bounded worker pool; -journal checkpoints
 // completed trials as NDJSON so an interrupted matrix resumes without
-// recomputation, and -drive gatewayd runs the CIC receiver behind a real
-// cic-gatewayd over TCP. See docs/EXPERIMENTS.md for the schema, journal
-// format and resume semantics.
+// recomputation. See docs/EXPERIMENTS.md for the schema, journal format
+// and resume semantics.
 //
 // Figures are written to stdout (table) or to -outdir as CSV files.
 package main
@@ -47,10 +46,6 @@ func run() error {
 	var (
 		configPath = flag.String("config", "", "declarative experiment config (JSON, see experiments/)")
 		journal    = flag.String("journal", "", "NDJSON trial journal for sweep configs: completed trials checkpoint here and a rerun resumes")
-		drive      = flag.String("drive", "", "sweep drive mode: inprocess (default) or gatewayd")
-		gwBin      = flag.String("gatewayd-bin", "", "with -drive gatewayd: spawn this cic-gatewayd binary on loopback")
-		gwAddr     = flag.String("gatewayd-addr", "", "with -drive gatewayd: attach to a running daemon at this ingestion address")
-		gwOut      = flag.String("gatewayd-out", "", "with -gatewayd-addr: the attached daemon's -out NDJSON file")
 		stopAfter  = flag.Int("stop-after", 0, "stop a sweep cleanly after N newly executed trials (resume later from -journal)")
 		trialConc  = flag.Int("trial-concurrency", 0, "sweep trial worker pool size (0 = GOMAXPROCS)")
 		quiet      = flag.Bool("quiet", false, "suppress per-trial progress logging")
@@ -81,10 +76,6 @@ func run() error {
 	figs, err := runConfig(configOptions{
 		path:      *configPath,
 		journal:   *journal,
-		drive:     *drive,
-		gwBin:     *gwBin,
-		gwAddr:    *gwAddr,
-		gwOut:     *gwOut,
 		stopAfter: *stopAfter,
 		trialConc: *trialConc,
 		quiet:     *quiet,
@@ -100,10 +91,6 @@ func run() error {
 type configOptions struct {
 	path      string
 	journal   string
-	drive     string
-	gwBin     string
-	gwAddr    string
-	gwOut     string
 	stopAfter int
 	trialConc int
 	quiet     bool
@@ -120,11 +107,15 @@ func runConfig(o configOptions) ([]eval.Figure, error) {
 	}
 
 	if cfg.Kind == experiment.KindFigure {
-		for _, f := range []struct{ name, val string }{
-			{"-journal", o.journal}, {"-drive", o.drive},
-			{"-gatewayd-bin", o.gwBin}, {"-gatewayd-addr", o.gwAddr},
+		for _, f := range []struct {
+			name string
+			set  bool
+		}{
+			{"-journal", o.journal != ""},
+			{"-stop-after", o.stopAfter != 0},
+			{"-trial-concurrency", o.trialConc != 0},
 		} {
-			if f.val != "" {
+			if f.set {
 				return nil, fmt.Errorf("%s applies only to sweep configs (%s is kind %q)", f.name, o.path, cfg.Kind)
 			}
 		}
@@ -133,7 +124,6 @@ func runConfig(o configOptions) ([]eval.Figure, error) {
 
 	opts := experiment.RunnerOptions{
 		JournalPath: o.journal,
-		Drive:       o.drive,
 		Concurrency: o.trialConc,
 		StopAfter:   o.stopAfter,
 		Metrics:     o.metrics,
@@ -141,31 +131,6 @@ func runConfig(o configOptions) ([]eval.Figure, error) {
 	if !o.quiet {
 		opts.Log = slog.New(slog.NewTextHandler(os.Stderr, nil))
 	}
-	if o.drive == experiment.DriveGatewayd {
-		switch {
-		case o.gwBin != "" && o.gwAddr != "":
-			return nil, fmt.Errorf("-gatewayd-bin and -gatewayd-addr are mutually exclusive")
-		case o.gwBin != "":
-			gd, err := experiment.SpawnGatewayd(o.gwBin, cfg.Fault)
-			if err != nil {
-				return nil, err
-			}
-			defer func() {
-				if err := gd.Stop(); err != nil {
-					fmt.Fprintln(os.Stderr, "cic-experiments: stop gatewayd:", err)
-				}
-			}()
-			opts.Gatewayd = gd
-		case o.gwAddr != "":
-			if o.gwOut == "" {
-				return nil, fmt.Errorf("-gatewayd-addr needs -gatewayd-out (the daemon's -out NDJSON file)")
-			}
-			opts.Gatewayd = &experiment.Gatewayd{Addr: o.gwAddr, OutPath: o.gwOut}
-		default:
-			return nil, fmt.Errorf("-drive gatewayd needs -gatewayd-bin or -gatewayd-addr")
-		}
-	}
-
 	// SIGINT/SIGTERM cancel the matrix cleanly: completed trials are
 	// already journaled, so the same invocation rerun resumes.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"cic/internal/eval"
@@ -37,6 +39,33 @@ func TestEmitTableAndCSV(t *testing.T) {
 	}
 	if err := emit([]eval.Figure{fig}, "", "table", false); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFigureConfigRejectsSweepFlags: every flag that only a sweep reads
+// is an error on a figure config, so it cannot be silently ignored. The
+// check runs before the figure does.
+func TestFigureConfigRejectsSweepFlags(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fig.json")
+	fig := `{"version":1,"name":"f","kind":"figure","figure":"snr","deployments":[{"base":"D1"}]}`
+	if err := os.WriteFile(path, []byte(fig), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		flag string
+		opts configOptions
+	}{
+		{"-journal", configOptions{journal: "j.ndjson"}},
+		{"-stop-after", configOptions{stopAfter: 2}},
+		{"-trial-concurrency", configOptions{trialConc: 1}},
+	} {
+		t.Run(tc.flag, func(t *testing.T) {
+			tc.opts.path = path
+			_, err := runConfig(tc.opts)
+			if err == nil || !strings.Contains(err.Error(), tc.flag) {
+				t.Errorf("err = %v, want %s rejected by name", err, tc.flag)
+			}
+		})
 	}
 }
 

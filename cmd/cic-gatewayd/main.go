@@ -9,7 +9,7 @@
 //	cic-gatewayd -listen 127.0.0.1:7733 [-pub addr] [-out path|-]
 //	             [-max-sessions N] [-mem-budget bytes] [-idle-timeout d]
 //	             [-park-timeout d] [-decode-timeout d] [-workers N]
-//	             [-debug-addr addr] [-addr-file path] [-fault-spec spec]
+//	             [-debug-addr addr] [-addr-file path]
 //	             [-log-level level] [-log-format text|json]
 //	             [-flight N] [-station-series N]
 //
@@ -17,11 +17,6 @@
 // text exposition under content negotiation), /healthz (liveness),
 // /readyz (readiness = admission control not shedding), /debug/flight
 // (the decode flight recorder) and /debug/pprof.
-//
-// -fault-spec enables the development fault injector: every accepted
-// ingestion connection is wrapped with a deterministic, seeded fault
-// schedule (connection drops, stalls, byte corruption, partial writes
-// at exact byte offsets — see internal/fault). Never set in production.
 //
 // On SIGINT/SIGTERM the daemon drains gracefully: it stops accepting,
 // flushes every session's Gateway so no fully-buffered packet is lost,
@@ -56,7 +51,6 @@ func run() error {
 		parkTimeout = flag.Duration("park-timeout", server.DefaultParkTimeout, "resume window for disconnected resumable sessions (-1s = disable parking)")
 		decodeTO    = flag.Duration("decode-timeout", server.DefaultDecodeTimeout, "per-IQ-frame decode admission deadline (-1s = unbounded)")
 		workers     = flag.Int("workers", server.DefaultWorkers(), "decode workers per session")
-		faultSpec   = flag.String("fault-spec", "", "DEV ONLY: inject deterministic connection faults, e.g. \"seed=42;every=2;drop@65536;stall@4096r:50ms\"")
 		debugAddr   = flag.String("debug-addr", "", "serve /metrics, /healthz, /readyz, /debug/flight and /debug/pprof on this address")
 		addrFile    = flag.String("addr-file", "", "write the bound ingestion and pub addresses (one per line) to this file once listening")
 		quiet       = flag.Bool("quiet", false, "suppress per-connection logging")
@@ -74,13 +68,6 @@ func run() error {
 	if *flightSize > 0 {
 		d.Flight = cic.NewFlightRecorder(*flightSize)
 	}
-	wraps, ms, err := d.FaultWrap(*faultSpec, "client")
-	if err != nil {
-		return err
-	}
-	if ms != nil {
-		d.Printf("FAULT INJECTION ACTIVE (%s) — dev use only", ms.ForLeg("client"))
-	}
 	srv := server.New(server.Config{
 		MaxSessions:      *maxSessions,
 		MemoryBudget:     *memBudget,
@@ -90,7 +77,6 @@ func run() error {
 		Workers:          *workers,
 		Metrics:          d.Metrics,
 		Sink:             d.Sink,
-		WrapConn:         wraps[0],
 		Log:              d.Log,
 		Flight:           d.Flight,
 		MaxStationSeries: *stationCap,

@@ -16,7 +16,7 @@
 //	            [-pub addr] [-out path|-] [-max-sessions N]
 //	            [-retain-cap samples] [-park-timeout d] [-idle-timeout d]
 //	            [-probe-interval d] [-breaker-base d] [-breaker-max d]
-//	            [-debug-addr addr] [-addr-file path] [-fault-spec spec]
+//	            [-debug-addr addr] [-addr-file path]
 //	            [-log-level level] [-log-format text|json] [-seed N]
 //
 // Each -backend is either a bare ingest address or a comma-separated
@@ -24,11 +24,6 @@
 // (a /readyz URL to probe; TCP dial of addr otherwise) and pub (the
 // backend's NDJSON address; when set the router merges that backend's
 // records into its own -out/-pub stream, deduplicated across failover).
-//
-// -fault-spec uses the per-leg grammar of internal/fault: '|'-separated
-// specs, each optionally tagged leg=client (accepted connections, the
-// default) or leg=upstream (the router→backend dials). Offsets count
-// bytes per leg. Never set in production.
 //
 // The debug endpoint serves /metrics (cluster_* families), /healthz and
 // /readyz (ready = accepting, with at least one available backend and
@@ -121,7 +116,6 @@ func run() error {
 		breakerMax    = flag.Duration("breaker-max", cluster.DefaultBreakerMax, "backend circuit-breaker max open window")
 		closeTimeout  = flag.Duration("close-timeout", cluster.DefaultCloseTimeout, "bound on one backend drain handshake")
 		seed          = flag.Int64("seed", 1, "breaker jitter seed (deterministic backoff)")
-		faultSpec     = flag.String("fault-spec", "", `DEV ONLY: per-leg fault injection, e.g. "leg=client;drop@65536|leg=upstream;corrupt@1024:0x20"`)
 		debugAddr     = flag.String("debug-addr", "", "serve /metrics, /healthz and /readyz on this address")
 		addrFile      = flag.String("addr-file", "", "write the bound ingestion, pub and debug addresses (one per line) to this file once listening")
 		quiet         = flag.Bool("quiet", false, "suppress per-session logging")
@@ -139,13 +133,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	wraps, ms, err := d.FaultWrap(*faultSpec, "client", "upstream")
-	if err != nil {
-		return err
-	}
-	if ms != nil {
-		d.Printf("FAULT INJECTION ACTIVE (%d leg specs) — dev use only", len(ms))
-	}
 	router := cluster.New(cluster.Config{
 		Backends:      backends,
 		MaxSessions:   *maxSessions,
@@ -159,8 +146,6 @@ func run() error {
 		Seed:          *seed,
 		Metrics:       d.Metrics,
 		Sink:          d.Sink,
-		WrapConn:      wraps[0],
-		WrapUpstream:  wraps[1],
 		Log:           d.Log,
 	})
 	return d.Run(router, server.Listeners{Listen: *listen, Pub: *pub, Debug: *debugAddr, AddrFile: *addrFile},

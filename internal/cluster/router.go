@@ -75,12 +75,6 @@ type Config struct {
 	// Sink receives the merged, deduplicated record stream (a silent
 	// fanout when nil).
 	Sink *server.Fanout
-	// WrapConn wraps every accepted client connection (the client-leg
-	// -fault-spec hook).
-	WrapConn func(net.Conn) net.Conn
-	// WrapUpstream wraps every dialled backend connection (the
-	// router↔backend-leg -fault-spec hook).
-	WrapUpstream func(net.Conn) net.Conn
 	// Dial overrides the upstream transport (tests inject partitions
 	// here); nil uses a net.Dialer.
 	Dial func(ctx context.Context, addr string) (net.Conn, error)
@@ -185,7 +179,6 @@ func New(cfg Config) *Router {
 		ParkTimeout: cfg.ParkTimeout,
 		RetryAfter:  cfg.RetryAfter,
 		Sink:        cfg.Sink,
-		WrapConn:    cfg.WrapConn,
 		Log:         cfg.Log,
 	}, server.FrontEnd{
 		Name:           "router",

@@ -257,9 +257,6 @@ func (s *session) connectUpstream(b *backend) (se *server.ServerError, retry boo
 		b.noteFailure(r.cfg.BreakerBase, r.cfg.BreakerMax)
 		return &server.ServerError{Reason: err.Error()}, true
 	}
-	if r.cfg.WrapUpstream != nil {
-		conn = r.cfg.WrapUpstream(conn)
-	}
 	hb, err := server.EncodeHello(s.hello)
 	if err != nil {
 		conn.Close()

@@ -1,12 +1,12 @@
 // Package experiment is the declarative evaluation harness: a versioned
 // ExperimentConfig (JSON, strictly parsed) declares node populations,
 // deployment geometry, channel parameters, offered-load sweeps, receiver
-// sets, a seed matrix and an optional fault schedule; a Runner expands it
-// into a deterministic trial matrix, executes the trials on a bounded
-// worker pool (in-process cic.Gateway or a cic-gatewayd streamed over TCP),
-// journals every completed trial as NDJSON for resume-without-recompute,
-// and an aggregator folds the journal into per-point mean ± 95% CI figures
-// through the internal/eval machinery.
+// sets and a seed matrix; a Runner expands it into a deterministic trial
+// matrix, executes the trials on a bounded worker pool (each receiver
+// decoding through a cic.Gateway), journals every completed trial as
+// NDJSON for resume-without-recompute, and an aggregator folds the
+// journal into per-point mean ± 95% CI figures through the internal/eval
+// machinery.
 //
 // docs/EXPERIMENTS.md documents the schema, journal format and resume
 // semantics; committed configs live under experiments/.
@@ -23,10 +23,8 @@ import (
 	"math"
 	"os"
 
-	"cic"
 	"cic/internal/chirp"
 	"cic/internal/eval"
-	"cic/internal/fault"
 	"cic/internal/frame"
 	"cic/internal/phy"
 	"cic/internal/sim"
@@ -100,11 +98,6 @@ type Config struct {
 	// Seeds spans the seed matrix: Count trials per (deployment, rate)
 	// point, with per-trial seeds derived from Base.
 	Seeds Seeds `json:"seeds"`
-
-	// Fault, when set, is an internal/fault schedule spec (e.g.
-	// "seed=42;every=2;drop@65536") applied to the gatewayd drive mode's
-	// ingestion connections. In-process trials ignore it.
-	Fault string `json:"fault,omitempty"`
 
 	// Workers bounds decode workers inside each receiver (0 means
 	// GOMAXPROCS). Trial-level concurrency is a Runner option, not
@@ -222,9 +215,6 @@ func (c *Config) Validate() error {
 		if c.Metric != "" {
 			return fmt.Errorf("experiment: metric %q is meaningless for a figure config", c.Metric)
 		}
-		if c.Fault != "" {
-			return fmt.Errorf("experiment: fault schedules apply only to sweep configs")
-		}
 	case "":
 		return fmt.Errorf("experiment: config has no kind (want %q or %q)", KindSweep, KindFigure)
 	default:
@@ -281,11 +271,6 @@ func (c *Config) Validate() error {
 	for i, name := range c.Receivers {
 		if _, err := eval.ReceiverByName(fc, 1, name, nil); err != nil {
 			return fmt.Errorf("experiment: receiver %d: %w", i, err)
-		}
-	}
-	if c.Fault != "" {
-		if _, err := fault.ParseSpec(c.Fault); err != nil {
-			return fmt.Errorf("experiment: fault spec: %w", err)
 		}
 	}
 	return nil
@@ -360,21 +345,6 @@ func (c *Config) FrameConfig() frame.Config {
 		Chirp:    chirp.Params{SF: ch.SF, Bandwidth: ch.BandwidthHz, OSR: ch.OSR},
 		PHY:      phy.Config{SF: ch.SF, CR: cr, HasCRC: true},
 		SyncWord: byte(ch.SyncWord),
-	}
-}
-
-// GatewayConfig converts the channel to the public cic.Config the
-// cic-gatewayd RESUME handshake carries.
-func (c *Config) GatewayConfig() cic.Config {
-	ch := c.Channel.withDefaults()
-	cr, _ := ch.codingRate()
-	return cic.Config{
-		SpreadingFactor: ch.SF,
-		Bandwidth:       ch.BandwidthHz,
-		Oversampling:    ch.OSR,
-		CodingRate:      int(cr),
-		PayloadCRC:      true,
-		SyncWord:        byte(ch.SyncWord),
 	}
 }
 

@@ -4,21 +4,7 @@ import (
 	"fmt"
 
 	"cic/internal/eval"
-	"cic/internal/rx"
 	"cic/internal/sim"
-)
-
-// Drive modes.
-const (
-	// DriveInProcess scores every receiver in this process against the
-	// rendered run, each writing the whole run into a cic.Gateway.
-	DriveInProcess = "inprocess"
-	// DriveGatewayd streams the CIC receiver's IQ through a cic-gatewayd
-	// over TCP (server.ReconnectingClient) and scores the daemon's NDJSON
-	// records; baseline receivers still run in-process, since the daemon
-	// only speaks CIC. Both drives decode with the same Gateway, so their
-	// CIC scores agree.
-	DriveGatewayd = "gatewayd"
 )
 
 // buildRun materialises a trial's network and rendered air.
@@ -54,8 +40,9 @@ func prr(s sim.Score) float64 {
 	return float64(s.Decoded) / float64(s.Offered)
 }
 
-// runTrialInProcess executes one trial entirely in this process.
-func runTrialInProcess(cfg *Config, t Trial) (map[string]ReceiverScore, error) {
+// runTrial executes one trial: every receiver scores the rendered run,
+// each writing the whole run into a cic.Gateway.
+func runTrial(cfg *Config, t Trial) (map[string]ReceiverScore, error) {
 	run, err := buildRun(cfg, t)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: trial %s: %w", t.Key, err)
@@ -84,23 +71,4 @@ func runTrialInProcess(cfg *Config, t Trial) (map[string]ReceiverScore, error) {
 		out[name] = scoreToResult(sim.ScoreDecodes(run, decoded, cfg.DurationS))
 	}
 	return out, nil
-}
-
-// readAll drains a sample source's span in bounded chunks, handing each
-// chunk to emit. This is how trials stream rendered air to a gatewayd.
-func readAll(src rx.SampleSource, chunk int, emit func([]complex128) error) error {
-	start, end := src.Span()
-	buf := make([]complex128, chunk)
-	for off := start; off < end; {
-		n := int64(len(buf))
-		if end-off < n {
-			n = end - off
-		}
-		src.Read(buf[:n], off)
-		if err := emit(buf[:n]); err != nil {
-			return err
-		}
-		off += n
-	}
-	return nil
 }

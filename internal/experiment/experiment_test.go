@@ -5,16 +5,12 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"net"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"cic"
-	"cic/internal/fault"
 	"cic/internal/obs"
-	"cic/internal/server"
 )
 
 // validConfigJSON is the canonical smoke-scale sweep used across tests.
@@ -53,10 +49,6 @@ func TestParseValid(t *testing.T) {
 	if fc.Chirp.SF != 8 || fc.Chirp.Bandwidth != 250e3 || fc.SyncWord != 0x34 {
 		t.Errorf("frame config %+v", fc)
 	}
-	gc := cfg.GatewayConfig()
-	if gc.SpreadingFactor != 8 || gc.CodingRate != 1 || !gc.PayloadCRC {
-		t.Errorf("gateway config %+v", gc)
-	}
 }
 
 func TestParseRejects(t *testing.T) {
@@ -79,9 +71,7 @@ func TestParseRejects(t *testing.T) {
 		"zero duration":     `{"version":1,"name":"x","kind":"sweep","metric":"prr","deployments":[{"base":"D1"}],"rates":[10],"duration_s":0}`,
 		"bad duty cycle":    `{"version":1,"name":"x","kind":"sweep","metric":"prr","deployments":[{"base":"D1","duty_cycle":1.5}],"rates":[10],"duration_s":1}`,
 		"bad receiver":      `{"version":1,"name":"x","kind":"sweep","metric":"prr","deployments":[{"base":"D1"}],"rates":[10],"duration_s":1,"receivers":["WiFi"]}`,
-		"bad fault spec":    `{"version":1,"name":"x","kind":"sweep","metric":"prr","deployments":[{"base":"D1"}],"rates":[10],"duration_s":1,"fault":"zorp@"}`,
 		"payload too large": `{"version":1,"name":"x","kind":"sweep","metric":"prr","deployments":[{"base":"D1"}],"rates":[10],"duration_s":1,"payload_len":300}`,
-		"fault on figure":   `{"version":1,"name":"x","kind":"figure","figure":"snr","deployments":[{"base":"D1"}],"fault":"drop@10"}`,
 		"trailing doc":      `{"version":1,"name":"x","kind":"figure","figure":"snr","deployments":[{"base":"D1"}]}{"again":true}`,
 		"not json":          `pure garbage`,
 	}
@@ -167,7 +157,7 @@ func TestJournalRoundtrip(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		err := j.Append(TrialResult{
 			ConfigSHA: "sha1", Name: "t", Key: fmt.Sprintf("D1/r10/s%d", i),
-			Drive: DriveInProcess, Seed: int64(i),
+			Seed:      int64(i),
 			Receivers: map[string]ReceiverScore{"CIC": {Offered: 10, Decoded: 9, PRR: 0.9}},
 		})
 		if err != nil {
@@ -223,6 +213,18 @@ func TestJournalRoundtrip(t *testing.T) {
 	got, err = ReadJournal(filepath.Join(dir, "missing.ndjson"), "sha1")
 	if err != nil || len(got) != 0 {
 		t.Errorf("missing journal: %d entries, err %v", len(got), err)
+	}
+
+	// Lines from older journals carry "drive" and "reconnects"; they
+	// still resume.
+	oldPath := filepath.Join(dir, "old.ndjson")
+	old := `{"config_sha":"sha1","name":"t","key":"D1/r10/s0","drive":"gatewayd","seed":0,"receivers":{"CIC":{"decoded":9}},"elapsed_ms":3,"reconnects":2}` + "\n"
+	if err := os.WriteFile(oldPath, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err = ReadJournal(oldPath, "sha1")
+	if err != nil || got["D1/r10/s0"].Receivers["CIC"].Decoded != 9 {
+		t.Errorf("older journal line: %+v, err %v", got, err)
 	}
 }
 
@@ -338,118 +340,9 @@ func TestRunResumeByteIdentical(t *testing.T) {
 	}
 }
 
-// startTestGatewayd runs the ingestion server in-process and returns an
-// attach-mode Gatewayd. wrap optionally injects connection faults.
-func startTestGatewayd(t *testing.T, wrap func(net.Conn) net.Conn) *Gatewayd {
-	t.Helper()
-	dir := t.TempDir()
-	outPath := filepath.Join(dir, "records.ndjson")
-	out, err := os.Create(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := server.New(server.Config{
-		Workers:  1,
-		Metrics:  cic.NewMetrics(),
-		Sink:     server.NewFanout(out),
-		WrapConn: wrap,
-	})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(ln)
-	t.Cleanup(func() {
-		srv.Shutdown(context.Background())
-		ln.Close()
-		out.Close()
-	})
-	return &Gatewayd{Addr: ln.Addr().String(), OutPath: outPath}
-}
-
-func TestRunGatewaydDrive(t *testing.T) {
-	cfg := mustParse(t, strings.Replace(validConfigJSON,
-		`"rates": [20, 40]`, `"rates": [30]`, 1))
-	cfg.Receivers = []string{"CIC"}
-	cfg.Seeds.Count = 1
-	gd := startTestGatewayd(t, nil)
-	res, err := Run(context.Background(), cfg, RunnerOptions{
-		JournalPath: filepath.Join(t.TempDir(), "gw.ndjson"),
-		Drive:       DriveGatewayd,
-		Gatewayd:    gd,
-		Concurrency: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, ok := res.Results["D1/r30/s0"]
-	if !ok {
-		t.Fatalf("trial missing; have %v", res.Results)
-	}
-	if tr.Drive != DriveGatewayd {
-		t.Errorf("drive %q", tr.Drive)
-	}
-	sc := tr.Receivers["CIC"]
-	if sc.Offered == 0 || sc.Decoded == 0 {
-		t.Errorf("gatewayd drive decoded %d of %d", sc.Decoded, sc.Offered)
-	}
-	if sc.PRR <= 0 || sc.PRR > 1 {
-		t.Errorf("PRR %g", sc.PRR)
-	}
-}
-
-// TestRunGatewaydDriveFaulted streams through injected connection drops:
-// the reconnecting client must recover and the trial must still score.
-func TestRunGatewaydDriveFaulted(t *testing.T) {
-	// every=2: the first connection drops mid-stream, the retry is clean.
-	spec, err := fault.ParseSpec("seed=7;every=2;drop@131072")
-	if err != nil {
-		t.Fatal(err)
-	}
-	conns := 0
-	wrap := func(c net.Conn) net.Conn {
-		sched := spec.Schedule(conns)
-		conns++
-		if len(sched.Read) == 0 && len(sched.Write) == 0 {
-			return c
-		}
-		return fault.WrapConn(c, sched, nil)
-	}
-	cfg := mustParse(t, strings.Replace(validConfigJSON,
-		`"rates": [20, 40]`, `"rates": [30]`, 1))
-	cfg.Receivers = []string{"CIC"}
-	cfg.Seeds.Count = 1
-	gd := startTestGatewayd(t, wrap)
-	res, err := Run(context.Background(), cfg, RunnerOptions{
-		Drive:       DriveGatewayd,
-		Gatewayd:    gd,
-		Concurrency: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := res.Results["D1/r30/s0"]
-	if sc := tr.Receivers["CIC"]; sc.Decoded == 0 {
-		t.Errorf("faulted gatewayd drive decoded nothing (offered %d)", sc.Offered)
-	}
-	if tr.Reconnects == 0 {
-		t.Error("fault injected but client never reconnected")
-	}
-}
-
 func TestRunRejectsBadOptions(t *testing.T) {
 	cfg := mustParse(t, validConfigJSON)
 	ctx := context.Background()
-	if _, err := Run(ctx, cfg, RunnerOptions{Drive: "carrier-pigeon"}); err == nil {
-		t.Error("unknown drive accepted")
-	}
-	if _, err := Run(ctx, cfg, RunnerOptions{Drive: DriveGatewayd}); err == nil {
-		t.Error("gatewayd drive without target accepted")
-	}
-	det := mustParse(t, strings.Replace(validConfigJSON, `"metric": "prr"`, `"metric": "detection"`, 1))
-	if _, err := Run(ctx, det, RunnerOptions{Drive: DriveGatewayd, Gatewayd: &Gatewayd{}}); err == nil {
-		t.Error("detection sweep over gatewayd accepted")
-	}
 	fig := mustParse(t, `{"version":1,"name":"f","kind":"figure","figure":"snr","deployments":[{"base":"D1"}]}`)
 	if _, err := Run(ctx, fig, RunnerOptions{}); err == nil {
 		t.Error("figure config accepted by sweep runner")

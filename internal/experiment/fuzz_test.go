@@ -62,7 +62,6 @@ func FuzzParseExperimentConfig(f *testing.F) {
 		}
 		// Derived accessors must be total on accepted configs.
 		_ = cfg.FrameConfig()
-		_ = cfg.GatewayConfig()
 		_ = cfg.SHA()
 		_ = cfg.ReceiverNames()
 	})

@@ -28,19 +28,16 @@ type ReceiverScore struct {
 }
 
 // TrialResult is one journal line: a completed trial's scores plus
-// provenance. ElapsedMS and Reconnects are informational (wall-clock and
-// transport noise) and MUST stay out of every aggregate so resumed runs
-// remain byte-identical.
+// provenance. ElapsedMS is informational (wall-clock noise) and MUST
+// stay out of every aggregate so resumed runs remain byte-identical.
 type TrialResult struct {
 	ConfigSHA string                   `json:"config_sha"`
 	Name      string                   `json:"name"`
 	Key       string                   `json:"key"`
-	Drive     string                   `json:"drive"`
 	Seed      int64                    `json:"seed"`
 	Receivers map[string]ReceiverScore `json:"receivers"`
 
-	ElapsedMS  float64 `json:"elapsed_ms"`
-	Reconnects int64   `json:"reconnects,omitempty"`
+	ElapsedMS float64 `json:"elapsed_ms"`
 }
 
 // ErrJournalConfigMismatch reports a journal written by a different

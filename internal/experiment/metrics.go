@@ -22,9 +22,6 @@ const (
 	// MetricPacketsDecoded counts correctly decoded packets across
 	// executed trials, labeled by receiver.
 	MetricPacketsDecoded = "experiment_packets_decoded"
-	// MetricClientReconnects counts ReconnectingClient recoveries in the
-	// gatewayd drive mode (fault schedules make this non-zero).
-	MetricClientReconnects = "experiment_client_reconnects"
 )
 
 // receiverSeriesLimit caps the receiver label cardinality of

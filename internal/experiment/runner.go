@@ -13,17 +13,13 @@ import (
 )
 
 // RunnerOptions parameterise one invocation of a sweep. Everything here
-// is operational (where to journal, how wide to fan out, which drive) —
-// nothing affects trial results, which depend only on the config.
+// is operational (where to journal, how wide to fan out) — nothing
+// affects trial results, which depend only on the config.
 type RunnerOptions struct {
 	// JournalPath is the NDJSON checkpoint file. Completed trials found
 	// there (same config SHA) are not recomputed. Empty disables
 	// journaling (every trial recomputes).
 	JournalPath string
-	// Drive selects DriveInProcess (default) or DriveGatewayd.
-	Drive string
-	// Gatewayd is the network drive target; required for DriveGatewayd.
-	Gatewayd *Gatewayd
 	// Concurrency bounds the trial worker pool (0 = GOMAXPROCS).
 	Concurrency int
 	// StopAfter, when positive, stops the run cleanly after that many
@@ -56,18 +52,6 @@ func Run(ctx context.Context, cfg *Config, opts RunnerOptions) (*RunResult, erro
 	if cfg.Kind != KindSweep {
 		return nil, fmt.Errorf("experiment: Run wants a %q config, got %q", KindSweep, cfg.Kind)
 	}
-	if opts.Drive == "" {
-		opts.Drive = DriveInProcess
-	}
-	if opts.Drive != DriveInProcess && opts.Drive != DriveGatewayd {
-		return nil, fmt.Errorf("experiment: unknown drive %q", opts.Drive)
-	}
-	if opts.Drive == DriveGatewayd && opts.Gatewayd == nil {
-		return nil, fmt.Errorf("experiment: gatewayd drive needs a Gatewayd target")
-	}
-	if opts.Drive == DriveGatewayd && cfg.Metric == MetricDetection {
-		return nil, fmt.Errorf("experiment: detection sweeps cannot drive a gatewayd (no wire form); use %q", DriveInProcess)
-	}
 	log := opts.Log
 	if log == nil {
 		log = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelError + 4}))
@@ -98,7 +82,6 @@ func Run(ctx context.Context, cfg *Config, opts RunnerOptions) (*RunResult, erro
 		trialSec  *obs.Histogram
 		offered   *obs.Counter
 		decoded   *obs.CounterVec
-		reconn    *obs.Counter
 	)
 	if m := opts.Metrics; m != nil {
 		planned = m.Gauge(MetricTrialsPlanned)
@@ -108,7 +91,6 @@ func Run(ctx context.Context, cfg *Config, opts RunnerOptions) (*RunResult, erro
 		trialSec = m.Histogram(MetricTrialSeconds, obs.DurationBuckets)
 		offered = m.Counter(MetricPacketsOffered)
 		decoded = m.CounterVec(MetricPacketsDecoded, []string{"receiver"}, receiverSeriesLimit)
-		reconn = m.Counter(MetricClientReconnects)
 	}
 	if planned != nil {
 		planned.Set(int64(len(trials)))
@@ -126,7 +108,7 @@ func Run(ctx context.Context, cfg *Config, opts RunnerOptions) (*RunResult, erro
 	}
 	res := &RunResult{Results: done, Resumed: len(done)}
 	log.Info("experiment start",
-		"name", cfg.Name, "config_sha", sha[:12], "drive", opts.Drive,
+		"name", cfg.Name, "config_sha", sha[:12],
 		"trials", len(trials), "resumed", len(done), "pending", len(pending))
 	if len(pending) == 0 {
 		return res, nil
@@ -165,16 +147,7 @@ func Run(ctx context.Context, cfg *Config, opts RunnerOptions) (*RunResult, erro
 					continue
 				}
 				begin := obs.Now()
-				var (
-					scores map[string]ReceiverScore
-					recs   int64
-					err    error
-				)
-				if opts.Drive == DriveGatewayd {
-					scores, recs, err = runTrialGatewayd(cfg, t, opts.Gatewayd)
-				} else {
-					scores, err = runTrialInProcess(cfg, t)
-				}
+				scores, err := runTrial(cfg, t)
 				elapsed := obs.Since(begin)
 				if err != nil {
 					if failed != nil {
@@ -190,14 +163,12 @@ func Run(ctx context.Context, cfg *Config, opts RunnerOptions) (*RunResult, erro
 					continue
 				}
 				tr := TrialResult{
-					ConfigSHA:  sha,
-					Name:       cfg.Name,
-					Key:        t.Key,
-					Drive:      opts.Drive,
-					Seed:       t.Seed,
-					Receivers:  scores,
-					ElapsedMS:  float64(elapsed.Milliseconds()),
-					Reconnects: recs,
+					ConfigSHA: sha,
+					Name:      cfg.Name,
+					Key:       t.Key,
+					Seed:      t.Seed,
+					Receivers: scores,
+					ElapsedMS: float64(elapsed.Milliseconds()),
 				}
 				if journal != nil {
 					if jerr := journal.Append(tr); jerr != nil {
@@ -210,7 +181,7 @@ func Run(ctx context.Context, cfg *Config, opts RunnerOptions) (*RunResult, erro
 						continue
 					}
 				}
-				observeTrial(tr, t, completed, trialSec, offered, decoded, reconn, elapsed.Seconds())
+				observeTrial(tr, t, completed, trialSec, offered, decoded, elapsed.Seconds())
 				logTrial(log, cfg, tr, elapsed.Seconds())
 				mu.Lock()
 				res.Results[t.Key] = tr
@@ -238,13 +209,12 @@ func Run(ctx context.Context, cfg *Config, opts RunnerOptions) (*RunResult, erro
 
 // observeTrial publishes one executed trial's metrics (all receivers nil
 // when the run is unobserved).
-func observeTrial(tr TrialResult, t Trial, completed *obs.CounterVec, trialSec *obs.Histogram, offered *obs.Counter, decoded *obs.CounterVec, reconn *obs.Counter, seconds float64) {
+func observeTrial(tr TrialResult, t Trial, completed *obs.CounterVec, trialSec *obs.Histogram, offered *obs.Counter, decoded *obs.CounterVec, seconds float64) {
 	if completed == nil {
 		return
 	}
 	completed.With(t.Spec.Base).Inc()
 	trialSec.Observe(seconds)
-	reconn.Add(tr.Reconnects)
 	for name, sc := range tr.Receivers {
 		decoded.With(name).Add(int64(sc.Decoded))
 		if name == "CIC" {
@@ -255,7 +225,7 @@ func observeTrial(tr TrialResult, t Trial, completed *obs.CounterVec, trialSec *
 
 // logTrial emits one progress line, leading with the receiver under study.
 func logTrial(log *slog.Logger, cfg *Config, tr TrialResult, seconds float64) {
-	attrs := []any{"trial", tr.Key, "drive", tr.Drive, "seconds", fmt.Sprintf("%.2f", seconds)}
+	attrs := []any{"trial", tr.Key, "seconds", fmt.Sprintf("%.2f", seconds)}
 	if cic, ok := tr.Receivers["CIC"]; ok {
 		attrs = append(attrs, "offered", cic.Offered)
 		if cfg.Metric == MetricDetection {
@@ -263,9 +233,6 @@ func logTrial(log *slog.Logger, cfg *Config, tr TrialResult, seconds float64) {
 		} else {
 			attrs = append(attrs, "cic_prr", fmt.Sprintf("%.3f", cic.PRR))
 		}
-	}
-	if tr.Reconnects > 0 {
-		attrs = append(attrs, "reconnects", tr.Reconnects)
 	}
 	log.Info("trial complete", attrs...)
 }

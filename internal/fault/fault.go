@@ -2,11 +2,11 @@
 // ingestion pipeline: schedule-driven net.Conn and io.Reader wrappers
 // that inject connection drops, read/write stalls, short (partial)
 // transfers and single-byte corruption at exact byte offsets of a
-// stream. Schedules are plain data — built literally in tests or parsed
-// from a -fault-spec string (see ParseSpec) — so a given schedule
-// reproduces the same fault at the same byte on every run, which is what
-// lets the chaos suite compare a faulted run byte-for-byte against a
-// fault-free baseline.
+// stream. Schedules are plain data that tests build literally, so a
+// given schedule reproduces the same fault at the same byte on every
+// run, which is what lets the chaos suite compare a faulted run
+// byte-for-byte against a fault-free baseline. Only tests import this
+// package.
 package fault
 
 import (
@@ -44,7 +44,7 @@ const (
 	KindPartial
 )
 
-// String names the kind for logs and specs.
+// String names the kind for logs.
 func (k Kind) String() string {
 	switch k {
 	case KindDrop:
@@ -74,9 +74,6 @@ type Schedule struct {
 	Read  []Event
 	Write []Event
 }
-
-// empty reports whether the schedule injects nothing.
-func (s Schedule) empty() bool { return len(s.Read) == 0 && len(s.Write) == 0 }
 
 // injector applies one direction's events to a byte stream. It is not
 // safe for concurrent use; net.Conn wrappers own one per direction,

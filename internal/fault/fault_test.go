@@ -114,50 +114,3 @@ func TestConnStall(t *testing.T) {
 		t.Fatalf("read returned after %v, want >= 30ms stall", d)
 	}
 }
-
-// TestParseSpec: the spec DSL round-trips into the expected schedule,
-// every/jitter behave deterministically, and bad entries are rejected.
-func TestParseSpec(t *testing.T) {
-	sp, err := ParseSpec("seed=7;every=2;drop@4096;stall@1024w:50ms;corrupt@2048:0x20;partial@100")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sp.Seed != 7 || sp.Every != 2 {
-		t.Fatalf("params: %+v", sp)
-	}
-	if len(sp.Read) != 3 || len(sp.Write) != 1 {
-		t.Fatalf("events: read=%d write=%d", len(sp.Read), len(sp.Write))
-	}
-	if sp.Write[0].Kind != KindStall || sp.Write[0].Delay != 50*time.Millisecond {
-		t.Fatalf("write event: %+v", sp.Write[0])
-	}
-	if sp.Read[1].Kind != KindCorrupt || sp.Read[1].Mask != 0x20 {
-		t.Fatalf("corrupt event: %+v", sp.Read[1])
-	}
-	// every=2: connections 0, 2 get the schedule; 1 does not.
-	if sp.Schedule(1).Read != nil {
-		t.Fatal("connection 1 should be skipped by every=2")
-	}
-	if got := sp.Schedule(2); len(got.Read) != 3 {
-		t.Fatalf("connection 2 schedule: %+v", got)
-	}
-
-	// Jitter is deterministic per (seed, conn).
-	sp2, err := ParseSpec("seed=9;jitter=100;drop@1000")
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := sp2.Schedule(0), sp2.Schedule(0)
-	if a.Read[0].Offset != b.Read[0].Offset {
-		t.Fatal("jitter not deterministic")
-	}
-	if off := a.Read[0].Offset; off < 1000 || off > 1100 {
-		t.Fatalf("jittered offset %d outside [1000,1100]", off)
-	}
-
-	for _, bad := range []string{"", "boom@10", "drop@-1", "stall@5", "every=0", "seed=x", "drop@1:2"} {
-		if _, err := ParseSpec(bad); err == nil {
-			t.Errorf("ParseSpec(%q) accepted", bad)
-		}
-	}
-}

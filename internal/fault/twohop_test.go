@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"strings"
 	"testing"
 
 	"cic/internal/fault"
@@ -90,45 +89,6 @@ func TestTwoHopPartialDoesNotShiftDownstream(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("split@%d: corrupt byte shifted:\n got %x\nwant %x", split, got, want)
 		}
-	}
-}
-
-func TestParseMultiSpec(t *testing.T) {
-	ms, err := fault.ParseMultiSpec("leg=client;drop@65536|leg=upstream;seed=7;corrupt@1024:0x20")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ms) != 2 {
-		t.Fatalf("parsed %d specs, want 2", len(ms))
-	}
-	up := ms.ForLeg("upstream")
-	if up == nil || up.Seed != 7 || len(up.Read) != 1 {
-		t.Fatalf("upstream spec = %+v", up)
-	}
-	if got := up.String(); !strings.Contains(got, "leg=upstream") {
-		t.Errorf("String() = %q, want it to name the leg", got)
-	}
-	// "" and "client" name the same default leg.
-	if cl := ms.ForLeg(""); cl == nil || cl != ms.ForLeg("client") {
-		t.Errorf("ForLeg(\"\") = %v, ForLeg(client) = %v; want the same spec", cl, ms.ForLeg("client"))
-	}
-	if cl := ms.ForLeg("client"); len(cl.Read) != 1 || cl.Read[0].Kind != fault.KindDrop {
-		t.Errorf("client spec = %+v, want the drop@65536 plan", cl)
-	}
-	if missing := ms.ForLeg("nonexistent"); missing != nil {
-		t.Errorf("ForLeg(nonexistent) = %v, want nil", missing)
-	}
-
-	// A bare spec targets the client leg, so a second client spec is a
-	// duplicate.
-	if _, err := fault.ParseMultiSpec("drop@1|leg=client;drop@2"); err == nil {
-		t.Error("duplicate client leg accepted")
-	}
-	if _, err := fault.ParseMultiSpec("leg=;drop@1"); err == nil {
-		t.Error("empty leg name accepted")
-	}
-	if sp := (*fault.Spec)(nil); sp.LegName() != "client" {
-		t.Errorf("nil spec LegName = %q, want client", sp.LegName())
 	}
 }
 

@@ -19,7 +19,6 @@ var obsHandleTypes = map[string]bool{
 	"Registry":       true,
 	"CounterVec":     true,
 	"GaugeVec":       true,
-	"HistogramVec":   true,
 	"FlightRecorder": true,
 	"FlightScope":    true,
 }

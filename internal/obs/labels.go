@@ -4,11 +4,10 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // MetricLabelsEvicted counts label sets dropped from labeled metric
-// families (CounterVec/GaugeVec/HistogramVec) because the family hit its
+// families (CounterVec/GaugeVec) because the family hit its
 // series cap. A non-zero value means per-station telemetry is being
 // shed: raise the cap or shard the registry. Registered automatically on
 // the first *Vec call.
@@ -198,42 +197,6 @@ func (v *GaugeVec) With(values ...string) *Gauge {
 
 // Len reports the number of live label sets. 0 on a nil receiver.
 func (v *GaugeVec) Len() int {
-	if v == nil {
-		return 0
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return len(v.lru.entries)
-}
-
-// HistogramVec is the labeled histogram family; see CounterVec for the
-// cardinality and nil-safety contract. Every child shares the family's
-// bucket bounds.
-type HistogramVec struct {
-	name   string
-	labels []string
-	bounds []float64
-
-	mu  sync.Mutex
-	lru lruSeries
-}
-
-// With returns the child histogram for the given label values.
-func (v *HistogramVec) With(values ...string) *Histogram {
-	if v == nil || len(values) != len(v.labels) {
-		return nil
-	}
-	fresh := &Histogram{
-		bounds: v.bounds,
-		counts: make([]atomic.Int64, len(v.bounds)+1),
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.lru.get(values, fresh).metric.(*Histogram)
-}
-
-// Len reports the number of live label sets. 0 on a nil receiver.
-func (v *HistogramVec) Len() int {
 	if v == nil {
 		return 0
 	}

@@ -44,17 +44,13 @@ func TestVecArityMismatch(t *testing.T) {
 	r := NewRegistry()
 	cv := r.CounterVec("c", []string{"a", "b"}, 0)
 	gv := r.GaugeVec("g", []string{"a"}, 0)
-	hv := r.HistogramVec("h", []string{"a"}, SizeBuckets, 0)
 	if cv.With("only-one") != nil {
 		t.Error("CounterVec.With with wrong arity should return nil")
 	}
 	if gv.With("x", "y") != nil {
 		t.Error("GaugeVec.With with wrong arity should return nil")
 	}
-	if hv.With() != nil {
-		t.Error("HistogramVec.With with wrong arity should return nil")
-	}
-	if cv.Len() != 0 || gv.Len() != 0 || hv.Len() != 0 {
+	if cv.Len() != 0 || gv.Len() != 0 {
 		t.Error("arity-mismatched With must not create series")
 	}
 }
@@ -63,16 +59,13 @@ func TestVecArityMismatch(t *testing.T) {
 func TestVecNilSafety(t *testing.T) {
 	var cv *CounterVec
 	var gv *GaugeVec
-	var hv *HistogramVec
 	cv.With("x").Inc()
 	gv.With("x").Set(1)
-	hv.With("x").Observe(1)
-	if cv.Len() != 0 || gv.Len() != 0 || hv.Len() != 0 {
+	if cv.Len() != 0 || gv.Len() != 0 {
 		t.Error("nil vec Len != 0")
 	}
 	var r *Registry
-	if r.CounterVec("c", nil, 0) != nil || r.GaugeVec("g", nil, 0) != nil ||
-		r.HistogramVec("h", nil, SizeBuckets, 0) != nil {
+	if r.CounterVec("c", nil, 0) != nil || r.GaugeVec("g", nil, 0) != nil {
 		t.Error("nil registry returned non-nil vecs")
 	}
 	var fr *FlightRecorder
@@ -138,30 +131,6 @@ func TestVecLRURecency(t *testing.T) {
 	// An evicted label set returning starts a fresh series at zero.
 	if v := vec.With("b").Value(); v != 0 {
 		t.Errorf("returning evicted series carried value %d", v)
-	}
-}
-
-// TestHistogramVecChildren: children share the family bounds and show
-// up in the labeled histogram snapshot.
-func TestHistogramVecChildren(t *testing.T) {
-	r := NewRegistry()
-	vec := r.HistogramVec("lat", []string{"sf"}, []float64{1, 10}, 0)
-	vec.With("7").Observe(0.5)
-	vec.With("7").Observe(100) // overflow
-	vec.With("8").Observe(5)
-	hs := r.Snapshot().HistogramVecs["lat"]
-	if len(hs.Series) != 2 {
-		t.Fatalf("series = %+v", hs.Series)
-	}
-	sf7 := hs.Series[0]
-	if sf7.Values[0] != "7" || sf7.Histogram.Count != 2 {
-		t.Errorf("sf7 = %+v", sf7)
-	}
-	if got := sf7.Histogram.Buckets; got[0] != 1 || got[2] != 1 {
-		t.Errorf("sf7 buckets = %v", got)
-	}
-	if len(sf7.Histogram.Bounds) != 2 {
-		t.Errorf("bounds not copied: %v", sf7.Histogram.Bounds)
 	}
 }
 

@@ -178,25 +178,23 @@ var SizeBuckets = []float64{0, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32}
 type Registry struct {
 	start time.Time
 
-	mu            sync.Mutex
-	counters      map[string]*Counter
-	gauges        map[string]*Gauge
-	histograms    map[string]*Histogram
-	counterVecs   map[string]*CounterVec
-	gaugeVecs     map[string]*GaugeVec
-	histogramVecs map[string]*HistogramVec
+	mu          sync.Mutex
+	counters    map[string]*Counter
+	gauges      map[string]*Gauge
+	histograms  map[string]*Histogram
+	counterVecs map[string]*CounterVec
+	gaugeVecs   map[string]*GaugeVec
 }
 
 // NewRegistry creates an empty Registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		start:         time.Now(),
-		counters:      map[string]*Counter{},
-		gauges:        map[string]*Gauge{},
-		histograms:    map[string]*Histogram{},
-		counterVecs:   map[string]*CounterVec{},
-		gaugeVecs:     map[string]*GaugeVec{},
-		histogramVecs: map[string]*HistogramVec{},
+		start:       time.Now(),
+		counters:    map[string]*Counter{},
+		gauges:      map[string]*Gauge{},
+		histograms:  map[string]*Histogram{},
+		counterVecs: map[string]*CounterVec{},
+		gaugeVecs:   map[string]*GaugeVec{},
 	}
 }
 
@@ -289,28 +287,6 @@ func (r *Registry) GaugeVec(name string, labels []string, limit int) *GaugeVec {
 	return v
 }
 
-// HistogramVec returns the named labeled histogram family (children
-// share the given bucket bounds); see CounterVec.
-func (r *Registry) HistogramVec(name string, labels []string, bounds []float64, limit int) *HistogramVec {
-	if r == nil {
-		return nil
-	}
-	evicted := r.Counter(MetricLabelsEvicted)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	v, ok := r.histogramVecs[name]
-	if !ok {
-		v = &HistogramVec{
-			name:   name,
-			labels: append([]string(nil), labels...),
-			bounds: append([]float64(nil), bounds...),
-		}
-		v.lru = newLRUSeries(limit, evicted)
-		r.histogramVecs[name] = v
-	}
-	return v
-}
-
 // Snapshot is a point-in-time copy of every registered metric. Maps
 // marshal with sorted keys and labeled series are sorted by label
 // values, so the JSON encoding of equal snapshots is byte-identical.
@@ -321,9 +297,8 @@ type Snapshot struct {
 	Histograms    map[string]HistogramSnapshot `json:"histograms"`
 
 	// Labeled families (empty maps when none are registered).
-	CounterVecs   map[string]VecSnapshot          `json:"counter_vecs"`
-	GaugeVecs     map[string]VecSnapshot          `json:"gauge_vecs"`
-	HistogramVecs map[string]HistogramVecSnapshot `json:"histogram_vecs"`
+	CounterVecs map[string]VecSnapshot `json:"counter_vecs"`
+	GaugeVecs   map[string]VecSnapshot `json:"gauge_vecs"`
 }
 
 // VecSnapshot is one labeled counter or gauge family: label names plus
@@ -337,18 +312,6 @@ type VecSnapshot struct {
 type SeriesInt64 struct {
 	Values []string `json:"values"`
 	Value  int64    `json:"value"`
-}
-
-// HistogramVecSnapshot is one labeled histogram family.
-type HistogramVecSnapshot struct {
-	Labels []string          `json:"labels"`
-	Series []SeriesHistogram `json:"series"`
-}
-
-// SeriesHistogram is one labeled histogram series.
-type SeriesHistogram struct {
-	Values    []string          `json:"values"`
-	Histogram HistogramSnapshot `json:"histogram"`
 }
 
 // HistogramSnapshot is one histogram's state: per-bucket (non-cumulative)
@@ -420,12 +383,11 @@ func snapshotHistogram(h *Histogram) HistogramSnapshot {
 // without nil checks).
 func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
-		Counters:      map[string]int64{},
-		Gauges:        map[string]int64{},
-		Histograms:    map[string]HistogramSnapshot{},
-		CounterVecs:   map[string]VecSnapshot{},
-		GaugeVecs:     map[string]VecSnapshot{},
-		HistogramVecs: map[string]HistogramVecSnapshot{},
+		Counters:    map[string]int64{},
+		Gauges:      map[string]int64{},
+		Histograms:  map[string]HistogramSnapshot{},
+		CounterVecs: map[string]VecSnapshot{},
+		GaugeVecs:   map[string]VecSnapshot{},
 	}
 	if r == nil {
 		return s
@@ -465,18 +427,6 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 		v.mu.Unlock()
 		s.GaugeVecs[name] = vs
-	}
-	for name, v := range r.histogramVecs {
-		v.mu.Lock()
-		vs := HistogramVecSnapshot{Labels: append([]string(nil), v.labels...), Series: []SeriesHistogram{}}
-		for _, e := range v.lru.sortedEntries() {
-			vs.Series = append(vs.Series, SeriesHistogram{
-				Values:    append([]string(nil), e.values...),
-				Histogram: snapshotHistogram(e.metric.(*Histogram)),
-			})
-		}
-		v.mu.Unlock()
-		s.HistogramVecs[name] = vs
 	}
 	return s
 }

@@ -38,7 +38,7 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 	for _, name := range sortedKeys(s.Histograms) {
 		h := s.Histograms[name]
 		writeFamily(bw, promName(name), "histogram", "", func() {
-			writeHistogramSeries(bw, promName(name), nil, nil, h)
+			writeHistogramSeries(bw, promName(name), h)
 		})
 	}
 	for _, name := range sortedKeys(s.CounterVecs) {
@@ -56,14 +56,6 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 			for _, series := range vec.Series {
 				writeSample(bw, promName(name), vec.Labels, series.Values,
 					strconv.FormatInt(series.Value, 10))
-			}
-		})
-	}
-	for _, name := range sortedKeys(s.HistogramVecs) {
-		vec := s.HistogramVecs[name]
-		writeFamily(bw, promName(name), "histogram", "", func() {
-			for _, series := range vec.Series {
-				writeHistogramSeries(bw, promName(name), vec.Labels, series.Values, series.Histogram)
 			}
 		})
 	}
@@ -128,14 +120,14 @@ func writeLabels(w *bufio.Writer, names, values []string, extraName, extraValue 
 }
 
 // writeHistogramSeries emits the cumulative `le` buckets, +Inf, _sum
-// and _count lines for one histogram series.
-func writeHistogramSeries(w *bufio.Writer, name string, labelNames, labelValues []string, h HistogramSnapshot) {
+// and _count lines for one unlabeled histogram.
+func writeHistogramSeries(w *bufio.Writer, name string, h HistogramSnapshot) {
 	var cum int64
 	for i, bound := range h.Bounds {
 		cum += h.Buckets[i]
 		w.WriteString(name)
 		w.WriteString("_bucket")
-		writeLabels(w, labelNames, labelValues, "le", formatFloat(bound))
+		writeLabels(w, nil, nil, "le", formatFloat(bound))
 		w.WriteByte(' ')
 		w.WriteString(strconv.FormatInt(cum, 10))
 		w.WriteByte('\n')
@@ -145,21 +137,19 @@ func writeHistogramSeries(w *bufio.Writer, name string, labelNames, labelValues 
 	}
 	w.WriteString(name)
 	w.WriteString("_bucket")
-	writeLabels(w, labelNames, labelValues, "le", "+Inf")
+	writeLabels(w, nil, nil, "le", "+Inf")
 	w.WriteByte(' ')
 	w.WriteString(strconv.FormatInt(cum, 10))
 	w.WriteByte('\n')
 
 	w.WriteString(name)
 	w.WriteString("_sum")
-	writeLabels(w, labelNames, labelValues, "", "")
 	w.WriteByte(' ')
 	w.WriteString(formatFloat(h.Sum))
 	w.WriteByte('\n')
 
 	w.WriteString(name)
 	w.WriteString("_count")
-	writeLabels(w, labelNames, labelValues, "", "")
 	w.WriteByte(' ')
 	w.WriteString(strconv.FormatInt(h.Count, 10))
 	w.WriteByte('\n')

@@ -3,6 +3,7 @@ package server_test
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"net"
@@ -114,6 +115,34 @@ func assertIdentical(t *testing.T, want, got map[string][]server.Record) {
 	}
 }
 
+// assertMatchesReceiver checks that the daemon publishes, for every
+// station, exactly what an in-process cic.Receiver decodes from the same
+// trace: the same packets in the same order, with equal Start, OK and
+// Payload.
+func assertMatchesReceiver(t *testing.T, cfg cic.Config, traces map[string][]complex128, got map[string][]server.Record) {
+	t.Helper()
+	rx, err := cic.NewReceiver(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for station, iq := range traces {
+		want, err := rx.DecodeBuffer(iq)
+		if err != nil {
+			t.Fatalf("%s: in-process decode: %v", station, err)
+		}
+		g := got[station]
+		if len(g) != len(want) {
+			t.Fatalf("%s: daemon published %d records, in-process decode has %d", station, len(g), len(want))
+		}
+		for i, p := range want {
+			if g[i].Start != p.Start || g[i].OK != p.OK || g[i].Payload != hex.EncodeToString(p.Payload) {
+				t.Errorf("%s: record %d = {Start:%d OK:%v Payload:%s}, in-process {Start:%d OK:%v Payload:%x}",
+					station, i, g[i].Start, g[i].OK, g[i].Payload, p.Start, p.OK, p.Payload)
+			}
+		}
+	}
+}
+
 // chaosServer starts a server publishing into a fresh memSink.
 func chaosServer(t *testing.T, cfg server.Config) (*server.Server, string, *memSink, *cic.Metrics) {
 	t.Helper()
@@ -144,6 +173,8 @@ func shutdownAndCollect(t *testing.T, srv *server.Server, sink *memSink) map[str
 // (plus stalls and partial writes); after reconnect + resume the
 // published NDJSON must be identical, record for record, to a
 // fault-free baseline — no gaps, no duplicates, air-time order intact.
+// The baseline itself must equal an in-process cic.Receiver decode of
+// each trace, so the daemon path publishes what the library decodes.
 func TestChaosResumeByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos e2e in -short mode")
@@ -172,6 +203,7 @@ func TestChaosResumeByteIdentical(t *testing.T) {
 					t.Fatalf("baseline: no records for %s", station)
 				}
 			}
+			assertMatchesReceiver(t, cfg, traces, baseline)
 
 			// Faulted run: the first two connections of every station die
 			// at fixed byte offsets (after a stall and a partial write);

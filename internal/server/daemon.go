@@ -9,20 +9,16 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"slices"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 
 	"cic"
-	"cic/internal/fault"
 )
 
 // Daemon is the process scaffold cic-gatewayd and cic-routerd share: the
-// -out NDJSON sink, the structured logger, -fault-spec connection
-// wrapping, and (in Run) the listeners, the debug endpoint, the
-// addr-file and the SIGINT/SIGTERM drain.
+// -out NDJSON sink, the structured logger, and (in Run) the listeners,
+// the debug endpoint, the addr-file and the SIGINT/SIGTERM drain.
 type Daemon struct {
 	// Name prefixes every stderr line ("cic-gatewayd").
 	Name    string
@@ -87,44 +83,6 @@ func (d *Daemon) closeOut() {
 // Printf writes one "name: ..." line to stderr.
 func (d *Daemon) Printf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, d.Name+": "+format+"\n", args...)
-}
-
-// FaultWrap parses a -fault-spec value into one connection wrapper per
-// leg of legs (nil where the spec leaves the leg alone). Each wrapped
-// connection gets its leg's seeded schedule, and every injected fault
-// counts on server_faults_injected. A spec for any other leg is an
-// error; an empty spec wraps nothing.
-func (d *Daemon) FaultWrap(spec string, legs ...string) ([]func(net.Conn) net.Conn, fault.MultiSpec, error) {
-	wraps := make([]func(net.Conn) net.Conn, len(legs))
-	if spec == "" {
-		return wraps, nil, nil
-	}
-	ms, err := fault.ParseMultiSpec(spec)
-	if err != nil {
-		return nil, nil, fmt.Errorf("-fault-spec: %w", err)
-	}
-	for _, sp := range ms {
-		if leg := sp.LegName(); !slices.Contains(legs, leg) {
-			return nil, nil, fmt.Errorf("-fault-spec: leg %q is not a %s leg (want %s)",
-				leg, d.Name, strings.Join(legs, " or "))
-		}
-	}
-	faults := d.Metrics.Counter(MetricFaultsInjected)
-	for i, leg := range legs {
-		sp := ms.ForLeg(leg)
-		if sp == nil {
-			continue
-		}
-		var idx atomic.Int64
-		wraps[i] = func(c net.Conn) net.Conn {
-			sched := sp.Schedule(int(idx.Add(1) - 1))
-			if len(sched.Read) == 0 && len(sched.Write) == 0 {
-				return c
-			}
-			return fault.WrapConn(c, sched, func(fault.Event) { faults.Inc() })
-		}
-	}
-	return wraps, ms, nil
 }
 
 // Run binds the listeners, serves the debug endpoint (/metrics,

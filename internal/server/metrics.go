@@ -18,8 +18,8 @@ const (
 	MetricSubscriberDropped = "server_subscriber_dropped"
 	MetricMemoryInUse       = "server_memory_bytes"
 
-	// Resilience metrics (PR 5): session resume, parking, fault
-	// injection, panic recovery, decode deadlines and sink retries.
+	// Resilience metrics (PR 5): session resume, parking, panic
+	// recovery, decode deadlines and sink retries.
 	MetricSessionsParked   = "server_sessions_parked"
 	MetricResumesTotal     = "server_resumes_total"
 	MetricResumesExpired   = "server_resumes_expired"
@@ -27,7 +27,6 @@ const (
 	MetricPanicsRecovered  = "server_panics_recovered"
 	MetricDecodeDeadlines  = "server_decode_deadlines"
 	MetricSinkRetries      = "server_sink_retries"
-	MetricFaultsInjected   = "server_faults_injected"
 	MetricOverloadRejected = "server_overload_rejected"
 
 	// Labeled per-station / per-SF families (bounded cardinality: at
@@ -65,7 +64,6 @@ type serverMetrics struct {
 	PanicsRecovered  *obs.Counter
 	DecodeDeadlines  *obs.Counter
 	SinkRetries      *obs.Counter
-	FaultsInjected   *obs.Counter
 	OverloadRejected *obs.Counter
 
 	// Labeled families. Sessions resolve their child handles once at
@@ -104,7 +102,6 @@ func newServerMetrics(r *obs.Registry, maxStationSeries int) *serverMetrics {
 		PanicsRecovered:  r.Counter(MetricPanicsRecovered),
 		DecodeDeadlines:  r.Counter(MetricDecodeDeadlines),
 		SinkRetries:      r.Counter(MetricSinkRetries),
-		FaultsInjected:   r.Counter(MetricFaultsInjected),
 		OverloadRejected: r.Counter(MetricOverloadRejected),
 
 		StationSessions: r.CounterVec(MetricStationSessions, []string{"station"}, maxStationSeries),

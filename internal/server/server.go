@@ -78,9 +78,9 @@ type Config struct {
 	// Sink receives decoded-packet records (a silent fanout when nil).
 	Sink *Fanout
 	// WrapConn, when set, wraps every accepted ingestion connection
-	// before the handshake — the hook behind the daemon's -fault-spec
-	// flag (internal/fault.WrapConn) and usable for any transport
-	// middleware. Subscriber connections are not wrapped.
+	// before the handshake — the transport hook tests use to inject
+	// faults (internal/fault.WrapConn) or sever connections.
+	// Subscriber connections are not wrapped.
 	WrapConn func(net.Conn) net.Conn
 	// GatewayOptions are appended to every session Gateway's options —
 	// a development hook (e.g. cic.WithDecodeInterceptor for chaos

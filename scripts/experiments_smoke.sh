@@ -1,12 +1,9 @@
 #!/bin/sh
 # End-to-end smoke of the declarative experiment harness (make
 # experiments-smoke): the committed downscaled config runs the full
-# config → trial matrix → journal → aggregate pipeline in BOTH drive
-# modes, gets killed mid-matrix, resumes from the journal, and must
-# produce byte-identical aggregates to the uninterrupted run. The two
-# drives decode through the same cic.Gateway (in process, and inside the
-# daemon under injected connection faults), so their aggregates must be
-# byte-identical too.
+# config → trial matrix → journal → aggregate pipeline, gets killed
+# mid-matrix, resumes from the journal, and must produce byte-identical
+# aggregates to the uninterrupted run.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -15,11 +12,9 @@ trap 'rm -rf "$WORK"' EXIT INT TERM
 
 CONFIG=experiments/smoke.json
 EXPERIMENTS="$WORK/cic-experiments"
-GATEWAYD="$WORK/cic-gatewayd"
 
-echo "experiments-smoke: building binaries"
+echo "experiments-smoke: building cic-experiments"
 go build -o "$EXPERIMENTS" ./cmd/cic-experiments
-go build -o "$GATEWAYD" ./cmd/cic-gatewayd
 
 csv_check() {
     # Structural validity: comment line, header with the CIC series and
@@ -41,7 +36,7 @@ journal_check() {
     fi
 }
 
-echo "experiments-smoke: in-process drive (uninterrupted reference)"
+echo "experiments-smoke: uninterrupted reference run"
 "$EXPERIMENTS" -config "$CONFIG" -journal "$WORK/ref.ndjson" \
     -outdir "$WORK/ref" -quiet >/dev/null
 csv_check "$WORK/ref/smoke_D1.csv"
@@ -68,15 +63,4 @@ wait "$pid" 2>/dev/null || true
 cmp "$WORK/ref/smoke_D1.csv" "$WORK/res/smoke_D1.csv" || {
     echo "experiments-smoke: FAIL: resumed aggregates differ from uninterrupted run" >&2; exit 1; }
 
-echo "experiments-smoke: gatewayd drive (spawned daemon, fault schedule armed)"
-"$EXPERIMENTS" -config "$CONFIG" -journal "$WORK/gw.ndjson" \
-    -drive gatewayd -gatewayd-bin "$GATEWAYD" \
-    -outdir "$WORK/gw" -quiet >/dev/null
-csv_check "$WORK/gw/smoke_D1.csv"
-journal_check "$WORK/gw.ndjson"
-grep -q '"drive":"gatewayd"' "$WORK/gw.ndjson" || {
-    echo "experiments-smoke: FAIL: gatewayd journal lines not marked" >&2; exit 1; }
-cmp "$WORK/ref/smoke_D1.csv" "$WORK/gw/smoke_D1.csv" || {
-    echo "experiments-smoke: FAIL: gatewayd-drive aggregates differ from the in-process drive" >&2; exit 1; }
-
-echo "experiments-smoke: PASS (both drive modes identical, kill-resume byte-identical)"
+echo "experiments-smoke: PASS (kill-resume byte-identical)"

@@ -6,7 +6,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all vet lint lint-fast build test race perfbench-test bench bench-gateway bench-json bench-matrix bench-gate fuzz chaos smoke experiments-smoke results decode-parity ci
+.PHONY: all vet lint lint-fast build cross test race perfbench-test bench bench-gateway bench-json bench-matrix bench-gate fuzz chaos smoke experiments-smoke results decode-parity ci
 
 all: ci
 
@@ -41,6 +41,12 @@ lint-fast:
 build:
 	$(GO) build ./...
 
+# internal/dsp runs an AVX2 assembly kernel on amd64 and the portable Go
+# loop everywhere else: cross-build for arm64 so the portable side keeps
+# compiling and vetting behind its build tag.
+cross:
+	GOARCH=arm64 $(GO) vet ./internal/dsp/ && GOARCH=arm64 $(GO) build ./...
+
 test:
 	$(GO) test ./...
 
@@ -60,7 +66,7 @@ perfbench-test:
 # committed config under experiments/). One iteration each — a smoke test
 # that the benches run, not a measurement (use bench-gateway for numbers).
 bench:
-	$(GO) test -run '^$$' -bench 'GatewayStream|PreambleScanDownchirp|FFT1024|FFT4096|ForwardWindowed1024|ForwardReal1024|DFTBin1024|BinProbe1024|DechirpAndFold|MustPlanParallel|CICSymbol|Fig12to14|Fig15|Fig17|Fig19to20|Fig22to26|Fig27|Fig38' -benchtime=1x ./ ./internal/dsp/
+	$(GO) test -run '^$$' -bench 'GatewayStream|PreambleScanDownchirp|FFT1024|FFT4096|ForwardWindowed1024|ForwardReal1024|DFTBin1024|SearchFineGridPair1024|BinProbe1024|DechirpAndFold|MustPlanParallel|CICSymbol|Fig12to14|Fig15|Fig17|Fig19to20|Fig22to26|Fig27|Fig38' -benchtime=1x ./ ./internal/dsp/
 
 # Measured gateway streaming throughput at 1/4/GOMAXPROCS workers;
 # baselines recorded in BENCH_gateway.json.
@@ -80,10 +86,10 @@ bench-json:
 # (bench-json) plus the DSP kernel record. Run on the machine whose
 # numbers you intend to commit; the records embed the host environment.
 bench-matrix: bench-json
-	$(GO) test -run '^$$' -bench 'FFT4096|ForwardWindowed1024|ForwardReal1024|DFTBin1024|DFTBinPair1024|BinProbe1024' -benchtime=1000x ./internal/dsp/ | \
+	$(GO) test -run '^$$' -bench 'FFT4096|ForwardWindowed1024|ForwardReal1024|DFTBin1024|DFTBinPair1024|SearchFineGridPair1024|BinProbe1024' -benchtime=1000x ./internal/dsp/ | \
 		$(GO) run ./cmd/cic-bench -out BENCH_dsp.json \
 		-benchmark "DSP kernels" \
-		-description "FFT kernel micro-benchmarks: radix-4 forward transform, fused windowed transform, packed real-input transform, Goertzel fractional-bin DTFT, its two-image pair probe, and the candidate-bin SED probe (make bench-matrix)."
+		-description "FFT kernel micro-benchmarks: radix-4 forward transform, fused windowed transform, packed real-input transform, Goertzel fractional-bin DTFT, its two-image pair probe, one two-image fine-grid search, and the candidate-bin SED probe (make bench-matrix)."
 
 # Regression gate against the committed records: allocs/op must stay
 # within max(+10%, +5) of BENCH_gateway.json / BENCH_dsp.json. Alloc
@@ -145,4 +151,4 @@ decode-parity:
 	@test -n "$(BASE)" || { echo "usage: make decode-parity BASE=<rev>" >&2; exit 2; }
 	./scripts/decode_parity.sh $(BASE)
 
-ci: vet lint build race perfbench-test bench bench-gate fuzz chaos smoke experiments-smoke
+ci: vet lint build cross race perfbench-test bench bench-gate fuzz chaos smoke experiments-smoke

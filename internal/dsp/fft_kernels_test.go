@@ -329,6 +329,7 @@ func TestKernelsAllocFree(t *testing.T) {
 		{"Inverse", func() { f.Inverse(buf) }},
 		{"DFTBin", func() { _ = DFTBin(buf, n, 41.25) }},
 		{"DFTBinPair", func() { _, _ = DFTBinPair(buf, n, 41.25, 3*n/4) }},
+		{"SearchFineGridPair", func() { _, _, _, _ = SearchFineGridPair(buf, n, 41, 3*n/4, 19, 1.0/16) }},
 		{"BinProbe", func() { probe.Load(buf, 41); _ = probe.Power(100, 612) }},
 	}
 	for _, c := range checks {
@@ -408,6 +409,22 @@ func BenchmarkDFTBinPair1024(b *testing.B) {
 
 // pairSink keeps BenchmarkDFTBinPair1024's call from being optimised away.
 var pairSink complex128
+
+// BenchmarkSearchFineGridPair1024 is one candidate refinement as
+// candidates() runs it at OSR 4: both images of a bin over ±19 steps of
+// 1/16 bin (off = 3n/4), the coarse pass, endpoint probe and fine pass.
+func BenchmarkSearchFineGridPair1024(b *testing.B) {
+	x := benchSignal(1024)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		gridSink, _, _, _ = SearchFineGridPair(x, 1024, 511, 768, 19, 1.0/16)
+	}
+}
+
+// gridSink keeps BenchmarkSearchFineGridPair1024's call from being
+// optimised away.
+var gridSink float64
 
 // BenchmarkBinProbe1024 is one candidate's Spectral Edge Difference at
 // OSR 4: a prefix-sum pass over a 1024-sample symbol at both images, then

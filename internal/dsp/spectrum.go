@@ -195,17 +195,23 @@ func IntersectInto(acc, b Spectrum) {
 // S_r = Σ_u x[4u+r]·e^{-i(4θ)u} an independent Goertzel at angle 4θ over a
 // quarter of the samples. The four recurrences interleave in one loop, so
 // the out-of-order core overlaps their chains (~4× less latency-bound)
-// while the per-sample operation count is unchanged.
+// while the per-sample operation count is unchanged. On amd64 CPUs with
+// AVX2 the sums come from a vector kernel that sweeps the window for three
+// angles per pass (sweepPolyphase), bit-identical to the scalar loop.
 //
 //cic:hotpath
 func DFTBin(x []complex128, n int, bin float64) complex128 {
-	theta := -2 * math.Pi * bin / float64(n)
-	m := len(x)
-	if m < 8 || m%4 != 0 {
+	theta := binAngle(bin, n)
+	if !polyphaseLen(len(x)) {
 		return dftBinGoertzel(x, theta)
 	}
-	s := polyphaseSums(x, 4*theta)
+	s := polyphase(x, 4*theta)
 	return s.combine(theta)
+}
+
+// binAngle is the DTFT angle θ = -2π·bin/n of a probe at bin.
+func binAngle(bin float64, n int) float64 {
+	return -2 * math.Pi * bin / float64(n)
 }
 
 // DFTBinPair returns DFTBin(x, n, bin) and DFTBin(x, n, bin+off) — the two
@@ -221,30 +227,48 @@ func DFTBin(x []complex128, n int, bin float64) complex128 {
 //
 //cic:hotpath
 func DFTBinPair(x []complex128, n int, bin float64, off int) (lo, hi complex128) {
-	return dftBinPair(x, n, bin, bin+float64(off), off)
+	if !pairShares(len(x), n, off) {
+		return DFTBin(x, n, bin), DFTBin(x, n, bin+float64(off))
+	}
+	thLo, thHi := binAngle(bin, n), binAngle(bin+float64(off), n)
+	s := polyphase(x, 4*thLo)
+	return s.combine(thLo), s.combine(thHi)
 }
 
-// dftBinPair is DFTBinPair with the high probe's position given by the
-// caller, so a grid search evaluates it exactly as a DFTBin call at that
-// position would (binHi ≈ binLo+off up to rounding).
-//
-//cic:hotpath
-func dftBinPair(x []complex128, n int, binLo, binHi float64, off int) (lo, hi complex128) {
-	m := len(x)
-	if m < 8 || m%4 != 0 || n <= 0 || (4*off)%n != 0 {
-		return DFTBin(x, n, binLo), DFTBin(x, n, binHi)
-	}
-	thLo := -2 * math.Pi * binLo / float64(n)
-	thHi := -2 * math.Pi * binHi / float64(n)
-	s := polyphaseSums(x, 4*thLo)
-	return s.combine(thLo), s.combine(thHi)
+// polyphaseLen reports whether the polyphase path can stride over a
+// window of m samples: m a multiple of 4, at least 8.
+func polyphaseLen(m int) bool {
+	return m >= 8 && m%4 == 0
+}
+
+// pairShares reports whether the two images of a probe pair share one
+// polyphase sweep: the window admits the polyphase path and
+// 4·off ≡ 0 (mod n).
+func pairShares(m, n, off int) bool {
+	return polyphaseLen(m) && n > 0 && (4*off)%n == 0
+}
+
+// polyphase returns polyphaseSums(x, theta4) as a one-angle sweepPolyphase.
+func polyphase(x []complex128, theta4 float64) phaseSums {
+	th4 := [1]float64{theta4}
+	var s [1]phaseSums
+	sweepPolyphase(x, th4[:], s[:])
+	return s[0]
 }
 
 // phaseSums holds the four polyphase Goertzel sums S_r of DFTBin.
 type phaseSums [4]complex128
 
+// goertzelState is the final state of polyphaseSums' four recurrences:
+// v1[r] = v[0] and v2[r] = v[1] of phase r. The batched kernel stores its
+// registers in this layout.
+type goertzelState struct {
+	v1, v2 [4]complex128
+}
+
 // polyphaseSums runs the four interleaved Goertzel recurrences at angle
-// theta4 = 4θ over x (len(x) a multiple of 4, at least 8).
+// theta4 = 4θ over x (len(x) a multiple of 4, at least 8). It is the
+// portable kernel and the reference the batched one must match bit for bit.
 //
 //cic:hotpath
 func polyphaseSums(x []complex128, theta4 float64) phaseSums {
@@ -269,14 +293,31 @@ func polyphaseSums(x []complex128, theta4 float64) phaseSums {
 		c2r, c2i, c1r, c1i = c1r, c1i, cr, ci
 		d2r, d2i, d1r, d1i = d1r, d1i, dr, di
 	}
-	// Per phase: S_r = v[0] - conj(e^{i4θ})·v[1].
-	e4 := complex(cos4, -sin4)
-	return phaseSums{
-		complex(a1r, a1i) - e4*complex(a2r, a2i),
-		complex(b1r, b1i) - e4*complex(b2r, b2i),
-		complex(c1r, c1i) - e4*complex(c2r, c2i),
-		complex(d1r, d1i) - e4*complex(d2r, d2i),
+	st := goertzelState{
+		v1: [4]complex128{complex(a1r, a1i), complex(b1r, b1i), complex(c1r, c1i), complex(d1r, d1i)},
+		v2: [4]complex128{complex(a2r, a2i), complex(b2r, b2i), complex(c2r, c2i), complex(d2r, d2i)},
 	}
+	return st.finish(sin4, cos4)
+}
+
+// sweepPolyphaseGo is sweepPolyphase on the portable kernel.
+//
+//cic:hotpath
+func sweepPolyphaseGo(x []complex128, theta4 []float64, sums []phaseSums) {
+	for i, th := range theta4 {
+		sums[i] = polyphaseSums(x, th)
+	}
+}
+
+// finish returns the phase sums of a final state at angle 4θ with
+// sin 4θ = sin4, cos 4θ = cos4: per phase, S_r = v[0] - conj(e^{i4θ})·v[1].
+func (st *goertzelState) finish(sin4, cos4 float64) phaseSums {
+	e4 := complex(cos4, -sin4)
+	var s phaseSums
+	for r := range s {
+		s[r] = st.v1[r] - e4*st.v2[r]
+	}
+	return s
 }
 
 // combine returns S = Σ_r e^{iθr}·S_r (θ already carries the minus sign
@@ -372,49 +413,140 @@ func (b *gridBest) offer(s int, v complex128) {
 //
 //cic:hotpath
 func searchGrid(x []complex128, n int, base float64, off, steps int, step float64, pair bool) (loPos, loPow, hiPos, hiPow float64) {
-	hiBase := base + float64(off)
-	lo := gridBest{s: -steps, pow: -1}
-	hi := lo
-	probe := func(s int, wantLo, wantHi bool) {
-		bl, bh := base+float64(s)*step, hiBase+float64(s)*step
-		switch {
-		case wantLo && wantHi:
-			vl, vh := dftBinPair(x, n, bl, bh, off)
-			lo.offer(s, vl)
-			hi.offer(s, vh)
-		case wantLo:
-			lo.offer(s, DFTBin(x, n, bl))
-		case wantHi:
-			hi.offer(s, DFTBin(x, n, bh))
-		}
+	b := gridBatch{
+		x: x, n: n, base: base, hiBase: base + float64(off), step: step,
+		poly:   polyphaseLen(len(x)),
+		shared: pairShares(len(x), n, off),
 	}
+	b.lo = gridBest{s: -steps, pow: -1}
+	b.hi = b.lo
 	const stride = 4
 	if steps <= 2*stride {
 		for s := -steps; s <= steps; s++ {
-			probe(s, true, pair)
+			b.probe(s, true, pair)
 		}
-		return base + float64(lo.s)*step, lo.pow, hiBase + float64(hi.s)*step, hi.pow
-	}
-	for s := -steps; s <= steps; s += stride {
-		probe(s, true, pair)
-	}
-	// Keep the +steps endpoint in the coarse pass.
-	probe(steps, lo.s+stride > steps, pair && hi.s+stride > steps)
-	// Fine pass: each image sweeps one coarse stride either side of its
-	// bracket winner (windows fixed before the pass starts).
-	loFrom, loTo := max(lo.s-stride+1, -steps), min(lo.s+stride-1, steps)
-	hiFrom, hiTo := max(hi.s-stride+1, -steps), min(hi.s+stride-1, steps)
-	from, to := loFrom, loTo
-	if pair {
-		from, to = min(from, hiFrom), max(to, hiTo)
-	}
-	for s := from; s <= to; s++ {
-		if (s+steps)%stride == 0 { // already probed in the coarse pass
-			continue
+	} else {
+		for s := -steps; s <= steps; s += stride {
+			b.probe(s, true, pair)
 		}
-		probe(s, s >= loFrom && s <= loTo, pair && s >= hiFrom && s <= hiTo)
+		b.flush()
+		// Keep the +steps endpoint in the coarse pass.
+		b.probe(steps, b.lo.s+stride > steps, pair && b.hi.s+stride > steps)
+		b.flush()
+		// Fine pass: each image sweeps one coarse stride either side of its
+		// bracket winner (windows fixed before the pass starts).
+		loFrom, loTo := max(b.lo.s-stride+1, -steps), min(b.lo.s+stride-1, steps)
+		hiFrom, hiTo := max(b.hi.s-stride+1, -steps), min(b.hi.s+stride-1, steps)
+		from, to := loFrom, loTo
+		if pair {
+			from, to = min(from, hiFrom), max(to, hiTo)
+		}
+		for s := from; s <= to; s++ {
+			if (s+steps)%stride == 0 { // already probed in the coarse pass
+				continue
+			}
+			b.probe(s, s >= loFrom && s <= loTo, pair && s >= hiFrom && s <= hiTo)
+		}
 	}
-	return base + float64(lo.s)*step, lo.pow, hiBase + float64(hi.s)*step, hi.pow
+	b.flush()
+	return base + float64(b.lo.s)*step, b.lo.pow, b.hiBase + float64(b.hi.s)*step, b.hi.pow
+}
+
+// gridBatchSweeps bounds the polyphase sweeps a gridBatch queues before it
+// evaluates them: a multiple of the batched kernel's three angles, and
+// room for a whole coarse pass of the decoder's grids (±19 steps make 10
+// pair probes, 20 sweeps where the images cannot share one).
+const gridBatchSweeps = 24
+
+// gridBatch evaluates searchGrid's probes a pass at a time. A probe queues
+// the sweeps its DFTBin or DFTBinPair evaluation runs and one output per
+// wanted image; flush runs the queued sweeps through sweepPolyphase
+// together and offers the outputs in queue order, which is the per-probe
+// order, so each image's first-max rule picks the same grid point. The
+// probes of one pass do not depend on each other's values, so a pass may
+// be flushed at any point; searchGrid flushes between passes.
+type gridBatch struct {
+	x              []complex128
+	n              int
+	base, hiBase   float64
+	step           float64
+	poly           bool // len(x) admits the polyphase path
+	shared         bool // a pair probe's images share one sweep
+	lo, hi         gridBest
+	theta4         [gridBatchSweeps]float64
+	sums           [gridBatchSweeps]phaseSums
+	outs           [2 * gridBatchSweeps]gridOut
+	nSweeps, nOuts int
+}
+
+// gridOut is one queued probe value: grid index s of the low or the high
+// image, combined at angle theta from sums[sweep], or by the single-chain
+// Goertzel when sweep < 0.
+type gridOut struct {
+	s     int
+	hi    bool
+	sweep int
+	theta float64
+}
+
+// probe queues grid index s for the wanted images.
+//
+//cic:hotpath
+func (b *gridBatch) probe(s int, wantLo, wantHi bool) {
+	if b.nSweeps+2 > len(b.theta4) || b.nOuts+2 > len(b.outs) {
+		b.flush()
+	}
+	thLo := binAngle(b.base+float64(s)*b.step, b.n)
+	thHi := binAngle(b.hiBase+float64(s)*b.step, b.n)
+	if wantLo && wantHi && b.shared {
+		i := b.sweep(thLo)
+		b.queue(s, false, i, thLo)
+		b.queue(s, true, i, thHi)
+		return
+	}
+	if wantLo {
+		b.queue(s, false, b.sweep(thLo), thLo)
+	}
+	if wantHi {
+		b.queue(s, true, b.sweep(thHi), thHi)
+	}
+}
+
+// sweep queues the polyphase sweep at 4θ and returns its index, or -1
+// when the window takes the single-chain path.
+func (b *gridBatch) sweep(theta float64) int {
+	if !b.poly {
+		return -1
+	}
+	b.theta4[b.nSweeps] = 4 * theta
+	b.nSweeps++
+	return b.nSweeps - 1
+}
+
+func (b *gridBatch) queue(s int, hi bool, sweep int, theta float64) {
+	b.outs[b.nOuts] = gridOut{s: s, hi: hi, sweep: sweep, theta: theta}
+	b.nOuts++
+}
+
+// flush evaluates every queued sweep and offers the queued outputs.
+//
+//cic:hotpath
+func (b *gridBatch) flush() {
+	sweepPolyphase(b.x, b.theta4[:b.nSweeps], b.sums[:b.nSweeps])
+	for _, o := range b.outs[:b.nOuts] {
+		var v complex128
+		if o.sweep < 0 {
+			v = dftBinGoertzel(b.x, o.theta)
+		} else {
+			v = b.sums[o.sweep].combine(o.theta)
+		}
+		if o.hi {
+			b.hi.offer(o.s, v)
+		} else {
+			b.lo.offer(o.s, v)
+		}
+	}
+	b.nSweeps, b.nOuts = 0, 0
 }
 
 // QuadInterp performs three-point quadratic (parabolic) interpolation of a

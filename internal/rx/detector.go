@@ -789,8 +789,10 @@ func (det *Detector) refineEffectiveCFO(src SampleSource, pkt *Packet) {
 	d := det.d
 	fracs := det.fracsBuf[:0]
 	for i := 0; i < frame.PreambleUpchirps; i++ {
-		d.LoadWindow(src, pkt.Start+int64(i*m), pkt.CFOHz)
-		mag := det.mgrid(det.mag, d.Dechirped())
+		// The verify fill has just transformed these windows at this
+		// start and CFO, so power serves them from the memo.
+		start := pkt.Start + int64(i*m)
+		mag := det.power(src, start, false, pkt.CFOHz)
 		// The preamble tone (k=0) should sit at M-grid bin ~0; search ±2
 		// bins then zoom.
 		pos, pow := nearestPeak(mag, 0, 2)
@@ -798,6 +800,7 @@ func (det *Detector) refineEffectiveCFO(src SampleSource, pkt *Packet) {
 			continue
 		}
 		ipos := int(math.Round(pos))
+		d.LoadWindow(src, start, pkt.CFOHz)
 		zpos, _ := dsp.RefinePeak(d.Dechirped(), m, ipos, 16)
 		fracs = append(fracs, dsp.WrapToHalf(zpos, float64(m)/2))
 	}

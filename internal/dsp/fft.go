@@ -24,9 +24,10 @@ import (
 type FFT struct {
 	n       int
 	logN    int
-	perm    []int        // mixed-radix digit-reversal: stage input p holds x[perm[p]]
-	swaps   []int32      // transposition list realising perm in place (cycle decomposition)
+	inv     []int32      // inverse digit reversal: x[q] is stage input inv[q]
+	swaps   []int32      // transposition list realising the digit reversal in place (cycle decomposition)
 	twiddle []complex128 // twiddle[k] = exp(-2πi k / n), k < n (full circle, serves w^k, w^2k, w^3k)
+	stageTw []complex128 // per radix-4 stage with q >= 2, in schedule order: w1[0:q], w2[0:q], w3[0:q]
 }
 
 var (
@@ -40,14 +41,41 @@ func NewFFT(n int) (*FFT, error) {
 		return nil, fmt.Errorf("dsp: FFT size %d is not a positive power of two", n)
 	}
 	f := &FFT{n: n, logN: bits.TrailingZeros(uint(n))}
-	f.perm = digitReversal(n)
-	f.swaps = permSwaps(f.perm)
+	perm := digitReversal(n)
+	f.swaps = permSwaps(perm)
+	f.inv = make([]int32, n)
+	for p, q := range perm {
+		f.inv[q] = int32(p)
+	}
 	f.twiddle = make([]complex128, n)
 	for k := range f.twiddle {
 		s, c := math.Sincos(-2 * math.Pi * float64(k) / float64(n))
 		f.twiddle[k] = complex(c, s)
 	}
+	f.stageTw = stageTwiddles(f.twiddle, f.logN)
 	return f, nil
+}
+
+// stageTwiddles copies, for each radix-4 stage of quarter q >= 2 in
+// schedule order, the twiddles w_j[k] = twiddle[j·k·n/(4q)] (j = 1, 2, 3,
+// k < q) into three contiguous runs, so the vector stages load two
+// consecutive butterflies' twiddles with one read. About n entries in all.
+func stageTwiddles(twiddle []complex128, logN int) []complex128 {
+	n := len(twiddle)
+	q := 4
+	if logN&1 == 1 {
+		q = 2
+	}
+	tw := make([]complex128, 0, n)
+	for ; 4*q <= n; q <<= 2 {
+		step := n / (4 * q)
+		for j := 1; j <= 3; j++ {
+			for k := 0; k < q; k++ {
+				tw = append(tw, twiddle[j*k*step])
+			}
+		}
+	}
+	return tw
 }
 
 // digitReversal builds the input permutation for the mixed-radix
@@ -195,19 +223,27 @@ func (f *FFT) transform(x []complex128) {
 	f.stages(x)
 }
 
-// stages runs the butterfly schedule over x, which must already be in
-// digit-reversed order.
+// radix2 is the first pass when log2 n is odd, over adjacent pairs;
+// W_2^0 = 1, so no twiddles.
 //
 //cic:hotpath
-func (f *FFT) stages(x []complex128) {
+func radix2(x []complex128) {
+	for i := 0; i+1 < len(x); i += 2 {
+		a, b := x[i], x[i+1]
+		x[i], x[i+1] = a+b, a-b
+	}
+}
+
+// stagesGo runs the butterfly schedule over x, which must already be in
+// digit-reversed order. It is the portable form of stages and the oracle
+// the vector stages are tested against, bit for bit.
+//
+//cic:hotpath
+func (f *FFT) stagesGo(x []complex128) {
 	n := f.n
 	first4 := 4
 	if f.logN&1 == 1 {
-		// Radix-2 pass over adjacent pairs; W_2^0 = 1, so no twiddles.
-		for i := 0; i < n; i += 2 {
-			a, b := x[i], x[i+1]
-			x[i], x[i+1] = a+b, a-b
-		}
+		radix2(x)
 		first4 = 8
 	}
 	for size := first4; size <= n; size <<= 2 {
@@ -265,11 +301,12 @@ func (f *FFT) ForwardInto(dst, src []complex128) {
 // ForwardWindowed computes the forward DFT of the signal that equals src
 // on the sample range [from, to) and is zero elsewhere, writing the
 // spectrum into dst (src is not modified). This is the zero-padded
-// sub-window transform at the heart of ICSS spectral intersection: the
-// digit-reversal gather, the zero padding, and the segment copy fuse into
-// a single pass over dst, so no separate buffer clear is needed between
-// sub-symbols. dst follows Forward's length-redirect semantics; out-of-range
-// from/to are clamped, and an empty range yields the all-zero spectrum.
+// sub-window transform at the heart of ICSS spectral intersection: dst is
+// cleared, and only the window's samples are scattered to their
+// digit-reversed slots, so the work beyond the clear and the stages scales
+// with the window, not with n. dst follows Forward's length-redirect
+// semantics; out-of-range from/to are clamped, and an empty range yields
+// the all-zero spectrum.
 //
 //cic:hotpath
 func (f *FFT) ForwardWindowed(dst, src []complex128, from, to int) {
@@ -277,17 +314,12 @@ func (f *FFT) ForwardWindowed(dst, src []complex128, from, to int) {
 	if g == nil {
 		return
 	}
-	if from < 0 {
-		from = 0
-	}
-	if to > len(src) {
-		to = len(src)
-	}
-	for p, q := range g.perm {
-		if q >= from && q < to {
-			dst[p] = src[q]
-		} else {
-			dst[p] = 0
+	from = max(from, 0)
+	to = min(to, len(src), g.n)
+	clear(dst)
+	if from < to {
+		for i, p := range g.inv[from:to] {
+			dst[p] = src[from+i]
 		}
 	}
 	g.stages(dst)

@@ -53,9 +53,8 @@ func TestFFTMatchesRadix2Reference(t *testing.T) {
 	}
 }
 
-// TestForwardWindowedMatchesZeroPadded verifies the fused
-// gather-permutation path against the straightforward copy-then-transform
-// it replaced, over randomized windows including degenerate and
+// TestForwardWindowedMatchesZeroPadded verifies the fused windowed
+// transform against the straightforward copy-then-transform it replaced, over randomized windows including degenerate and
 // out-of-range [from, to).
 func TestForwardWindowedMatchesZeroPadded(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
@@ -86,6 +85,119 @@ func TestForwardWindowedMatchesZeroPadded(t *testing.T) {
 			f.ForwardWindowed(got, x, from, to)
 			if e := maxErr(got, want); e > 1e-9*float64(n) {
 				t.Errorf("n=%d window=[%d,%d): max error %g", n, from, to, e)
+			}
+		}
+	}
+}
+
+// fftEdgeSignal draws n samples for the bit-identity tests of the vector
+// stages from one of four families: ordinary values; signed zeros with a
+// few subnormals, whose zero signs a multiply by 1+0i would change; values
+// with scattered ±Inf, which a multiply by 1+0i would turn into NaN; and
+// magnitudes near the float64 limit, whose sums overflow to Inf and then
+// cancel to NaN.
+func fftEdgeSignal(r *rand.Rand, n, family int) []complex128 {
+	v := func() float64 {
+		switch family {
+		case 1:
+			if r.Intn(8) == 0 {
+				return r.NormFloat64() * 1e-310
+			}
+			return math.Copysign(0, r.NormFloat64())
+		case 2:
+			switch r.Intn(16) {
+			case 0:
+				return math.Inf(1 - 2*r.Intn(2))
+			case 1, 2:
+				return math.Copysign(0, r.NormFloat64())
+			}
+		case 3:
+			return r.NormFloat64() * 1e307
+		}
+		return r.NormFloat64()
+	}
+	x := make([]complex128, n)
+	for i := range x {
+		x[i] = complex(v(), v())
+	}
+	return x
+}
+
+// TestStagesMatchScalar checks the butterfly stages FFT.stages runs (the
+// vector kernels when the CPU has AVX2) against the portable stagesGo bit
+// for bit, or both NaN, at every n = 2…8192: even log2 n (the q = 1 first
+// stage) and odd (the radix-2 pass, then the q = 2 stage), on ordinary,
+// signed-zero, subnormal, infinite and overflowing inputs.
+func TestStagesMatchScalar(t *testing.T) {
+	t.Logf("vector FFT stages in use: %v", useAVX2)
+	r := rand.New(rand.NewSource(31))
+	for n := 2; n <= 8192; n *= 2 {
+		f := MustPlan(n)
+		for family := 0; family < 4; family++ {
+			for trial := 0; trial < 6; trial++ {
+				x := fftEdgeSignal(r, n, family)
+				got := append([]complex128(nil), x...)
+				want := append([]complex128(nil), x...)
+				f.stages(got)
+				f.stagesGo(want)
+				for i := range got {
+					if !sameComplexBits(got[i], want[i]) {
+						t.Fatalf("n=%d family=%d trial=%d bin %d: stages %v, stagesGo %v", n, family, trial, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// forwardWindowedGather is ForwardWindowed as the gather over the digit
+// reversal that the scatter replaced: every stage input slot reads its
+// source sample when it lies in the clamped [from, to), zero otherwise.
+func forwardWindowedGather(f *FFT, dst, src []complex128, from, to int) {
+	if from < 0 {
+		from = 0
+	}
+	if to > len(src) {
+		to = len(src)
+	}
+	for p, q := range digitReversal(f.n) {
+		if q >= from && q < to {
+			dst[p] = src[q]
+		} else {
+			dst[p] = 0
+		}
+	}
+	f.stages(dst)
+}
+
+// TestForwardWindowedMatchesGather checks the scatter form of
+// ForwardWindowed against the gather bit for bit on the edge windows —
+// empty, whole, starting before 0, ending past src or past n, reversed —
+// with sources shorter and longer than n, random windows, and a dst full
+// of stale values.
+func TestForwardWindowedMatchesGather(t *testing.T) {
+	r := rand.New(rand.NewSource(32))
+	for _, n := range []int{1, 2, 4, 8, 64, 1024} {
+		f := MustPlan(n)
+		windows := [][2]int{{0, 0}, {0, n}, {-3, n / 2}, {n / 4, n + 5}, {n / 2, n / 4}, {n, n}, {n + 1, n + 9}, {-9, -1}}
+		for trial := 0; trial < 8; trial++ {
+			windows = append(windows, [2]int{r.Intn(n+8) - 4, r.Intn(n+8) - 4})
+		}
+		for _, m := range []int{n, n / 2, n - 1, n + 7, 0} {
+			src := randSignal(r, m)
+			for _, w := range windows {
+				got := make([]complex128, n)
+				want := make([]complex128, n)
+				for i := range got {
+					got[i] = complex(42, -42)
+				}
+				f.ForwardWindowed(got, src, w[0], w[1])
+				forwardWindowedGather(f, want, src, w[0], w[1])
+				for i := range got {
+					if !sameComplexBits(got[i], want[i]) {
+						t.Fatalf("n=%d len(src)=%d window %v bin %d: scatter %v, gather %v", n, m, w, i, got[i], want[i])
+					}
+				}
 			}
 		}
 	}
@@ -368,6 +480,20 @@ func BenchmarkForwardWindowed1024(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f.ForwardWindowed(dst, src, 128, 640)
+	}
+}
+
+// BenchmarkForwardWindowedPrefix1024 is ICSS's per-boundary transform
+// (intersectSplit): prefix windows [0, b) of one 1024-sample symbol, b
+// cycling over seven boundaries spread across the symbol.
+func BenchmarkForwardWindowedPrefix1024(b *testing.B) {
+	f := MustPlan(1024)
+	src := benchSignal(1024)
+	dst := make([]complex128, 1024)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.ForwardWindowed(dst, src, 0, 128*(1+i%7))
 	}
 }
 

@@ -2,43 +2,14 @@ package dsp
 
 import "math"
 
-// useGoertzel3 is set once at package init: the CPU executes AVX2 and the
-// OS saves the ymm registers across context switches.
-var useGoertzel3 = hasAVX2()
-
 // goertzel3 runs polyphaseSums' recurrences at the three angles whose
 // 2·cos 4θ fill k[0], k[1] and k[2] (each broadcast to four lanes) in one
 // pass over x, len(x) a multiple of 4 and at least 4, and stores each
 // angle's final state in st. Every value is bit-identical to the scalar
-// loop's. Implemented in goertzel_amd64.s; callers check useGoertzel3.
+// loop's. Implemented in goertzel_amd64.s; callers check useAVX2.
 //
 //go:noescape
 func goertzel3(x []complex128, k *[3][4]float64, st *[3]goertzelState)
-
-// cpuid and xgetbv execute the instructions of the same names
-// (goertzel_amd64.s); xgetbv reads XCR0.
-func cpuid(leaf, sub uint32) (a, b, c, d uint32)
-
-func xgetbv() (lo, hi uint32)
-
-// hasAVX2 reports CPUID's AVX2 flag, gated on the OS having enabled the
-// ymm state (OSXSAVE, then XCR0's SSE and AVX bits).
-func hasAVX2() bool {
-	maxLeaf, _, _, _ := cpuid(0, 0)
-	if maxLeaf < 7 {
-		return false
-	}
-	_, _, c1, _ := cpuid(1, 0)
-	const osxsave, avx = 1 << 27, 1 << 28
-	if c1&osxsave == 0 || c1&avx == 0 {
-		return false
-	}
-	if xcr0, _ := xgetbv(); xcr0&6 != 6 {
-		return false
-	}
-	_, b7, _, _ := cpuid(7, 0)
-	return b7&(1<<5) != 0
-}
 
 // sweepPolyphase sets sums[i] = polyphaseSums(x, theta4[i]) for every i,
 // bit for bit (len(x) a multiple of 4, at least 8). With AVX2 it sweeps
@@ -47,7 +18,7 @@ func hasAVX2() bool {
 //
 //cic:hotpath
 func sweepPolyphase(x []complex128, theta4 []float64, sums []phaseSums) {
-	if !useGoertzel3 {
+	if !useAVX2 {
 		sweepPolyphaseGo(x, theta4, sums)
 		return
 	}

@@ -110,7 +110,7 @@ func edgeSignal(r *rand.Rand, n int) []complex128 {
 // three-angle passes and padded remainders) at odd and even step counts,
 // on plain and edge-valued windows and at angles with 2·cos 4θ = ±2 or 0.
 func TestSweepPolyphaseMatchesScalar(t *testing.T) {
-	t.Logf("batched AVX2 kernel in use: %v", useGoertzel3)
+	t.Logf("batched AVX2 kernel in use: %v", useAVX2)
 	r := rand.New(rand.NewSource(23))
 	special := []float64{0, math.Pi, -math.Pi / 2, math.Pi / 2, 2 * math.Pi}
 	for _, m := range []int{8, 12, 1020, 1024, 4096} {

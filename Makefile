@@ -47,9 +47,9 @@ build:
 cross:
 	GOARCH=arm64 $(GO) vet ./internal/dsp/ && GOARCH=arm64 $(GO) build ./...
 
-# Both AVX2 kernels (goertzel3, the radix-4 FFT stages) are bit-identical
-# to their Go loops only because the Go compiler never fuses a multiply
-# and an add on amd64. GOAMD64=v3 lets the compiler use FMA instructions,
+# The AVX2 kernels (goertzel3, the radix-4 FFT stages, the ICSS fold) are
+# bit-identical to their Go loops only because the Go compiler never
+# fuses a multiply and an add on amd64. GOAMD64=v3 lets the compiler use FMA instructions,
 # so rerun the bit-identity tests there to keep that premise checked.
 dsp-v3:
 	GOAMD64=v3 $(GO) test -count=1 -run 'MatchesScalar|MatchesPerProbe|StagesMatchScalar|MatchesGather' ./internal/dsp/
@@ -73,7 +73,7 @@ perfbench-test:
 # committed config under experiments/). One iteration each — a smoke test
 # that the benches run, not a measurement (use bench-gateway for numbers).
 bench:
-	$(GO) test -run '^$$' -bench 'GatewayStream|PreambleScanDownchirp|FFT1024|FFT4096|ForwardWindowed1024|ForwardWindowedPrefix1024|ForwardReal1024|DFTBin1024|SearchFineGridPair1024|BinProbe1024|DechirpAndFold|MustPlanParallel|CICSymbol|Fig12to14|Fig15|Fig17|Fig19to20|Fig22to26|Fig27|Fig38' -benchtime=1x ./ ./internal/dsp/
+	$(GO) test -run '^$$' -bench 'GatewayStream|PreambleScanDownchirp|FFT1024|FFT4096|ForwardWindowed1024|ForwardWindowedPrefix1024|IntersectFold1024|DFTBin1024|SearchFineGridPair1024|BinProbe1024|DechirpAndFold|MustPlanParallel|CICSymbol|Fig12to14|Fig15|Fig17|Fig19to20|Fig22to26|Fig27|Fig38' -benchtime=1x ./ ./internal/dsp/
 
 # Measured gateway streaming throughput at 1/4/GOMAXPROCS workers;
 # baselines recorded in BENCH_gateway.json.
@@ -93,10 +93,10 @@ bench-json:
 # (bench-json) plus the DSP kernel record. Run on the machine whose
 # numbers you intend to commit; the records embed the host environment.
 bench-matrix: bench-json
-	$(GO) test -run '^$$' -bench 'FFT4096|ForwardWindowed1024|ForwardWindowedPrefix1024|ForwardReal1024|DFTBin1024|DFTBinPair1024|SearchFineGridPair1024|BinProbe1024' -benchtime=1000x ./internal/dsp/ | \
+	$(GO) test -run '^$$' -bench 'FFT4096|ForwardWindowed1024|ForwardWindowedPrefix1024|IntersectFold1024|DFTBin1024|DFTBinPair1024|SearchFineGridPair1024|BinProbe1024' -benchtime=1000x ./internal/dsp/ | \
 		$(GO) run ./cmd/cic-bench -out BENCH_dsp.json \
 		-benchmark "DSP kernels" \
-		-description "FFT kernel micro-benchmarks: radix-4 forward transform, fused windowed transform, ICSS-like prefix windowed transforms, packed real-input transform, Goertzel fractional-bin DTFT, its two-image pair probe, one two-image fine-grid search, and the candidate-bin SED probe (make bench-matrix)."
+		-description "FFT kernel micro-benchmarks: radix-4 forward transform, fused windowed transform, ICSS-like prefix windowed transforms, one ICSS boundary's fused fold-and-intersect steps, Goertzel fractional-bin DTFT, its two-image pair probe, one two-image fine-grid search, and the candidate-bin SED probe (make bench-matrix)."
 
 # Regression gate against the committed records: allocs/op must stay
 # within max(+10%, +5) of BENCH_gateway.json / BENCH_dsp.json. Alloc

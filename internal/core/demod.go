@@ -550,14 +550,11 @@ func (dm *Demodulator) intersectSplit(b, minSpan int, pre, suf bool) int {
 	dm.d.FFT().ForwardWindowed(x, dm.d.Dechirped(), 0, b)
 	used := 0
 	if pre {
-		dsp.IntersectInto(dm.acc, dsp.FoldMagnitude(dm.sub, x, n, osr).Normalize())
+		dsp.IntersectFold(dm.acc, dm.sub, nil, x, n, osr)
 		used++
 	}
 	if suf {
-		for i, v := range dm.fullX {
-			x[i] = v - x[i]
-		}
-		dsp.IntersectInto(dm.acc, dsp.FoldMagnitude(dm.sub, x, n, osr).Normalize())
+		dsp.IntersectFold(dm.acc, dm.sub, dm.fullX, x, n, osr)
 		used++
 	}
 	return used

@@ -1,8 +1,8 @@
 package dsp
 
 // useAVX2 is set once at package init: the CPU executes AVX2 and the OS
-// saves the ymm registers across context switches. It gates both vector
-// kernels, goertzel3 and the radix-4 FFT stages.
+// saves the ymm registers across context switches. It gates the vector
+// kernels: goertzel3, the radix-4 FFT stages and the fused ICSS fold.
 var useAVX2 = hasAVX2()
 
 // cpuid and xgetbv execute the instructions of the same names

@@ -20,3 +20,16 @@ func sweepPolyphase(x []complex128, theta4 []float64, sums []phaseSums) {
 func (f *FFT) stages(x []complex128) {
 	f.stagesGo(x)
 }
+
+// foldMagnitudeVec and intersectFoldVec report false: without the vector
+// fold, FoldMagnitude and IntersectFold run their Go loops.
+//
+//cic:hotpath
+func foldMagnitudeVec(dst Spectrum, x []complex128, bins, osr int) bool {
+	return false
+}
+
+//cic:hotpath
+func intersectFoldVec(acc, sub Spectrum, full, x []complex128, bins, osr int) bool {
+	return false
+}

@@ -280,22 +280,15 @@ func (f *FFT) stagesGo(x []complex128) {
 	}
 }
 
-// ForwardInto copies src into dst (zero-padding or truncating to the
-// transform size) and transforms dst in place, with the same
-// length-redirect semantics as Forward (a dst of unusable length is
-// left unchanged).
+// ForwardInto computes the forward DFT of src, zero-padded or truncated
+// to the transform size, into dst: it is ForwardWindowed over the whole
+// of src, so dst is cleared and src scattered to its digit-reversed
+// slots in one pass. src must not alias dst. dst follows Forward's
+// length-redirect semantics (a dst of unusable length is left unchanged).
 //
 //cic:hotpath
 func (f *FFT) ForwardInto(dst, src []complex128) {
-	g := f.resolve(dst)
-	if g == nil {
-		return
-	}
-	n := copy(dst, src)
-	for i := n; i < len(dst); i++ {
-		dst[i] = 0
-	}
-	g.transform(dst)
+	f.ForwardWindowed(dst, src, 0, len(src))
 }
 
 // ForwardWindowed computes the forward DFT of the signal that equals src
@@ -323,72 +316,6 @@ func (f *FFT) ForwardWindowed(dst, src []complex128, from, to int) {
 		}
 	}
 	g.stages(dst)
-}
-
-// ForwardReal computes the n-point DFT of the real sequence src
-// (n = len(src)) via one complex transform of half the size: even/odd
-// samples are packed as real/imaginary parts, transformed with the n/2
-// plan, and the two interleaved spectra are disentangled with the plan's
-// full-circle twiddle table. The full conjugate-symmetric spectrum is
-// written into dst[:n], so folded-magnitude consumers can use the output
-// exactly like Forward's.
-//
-// It follows the package's totality rules: a plan/size mismatch is
-// redirected to the cached plan of size len(src); the call is a no-op when
-// len(src) is not a power of two >= 1 or dst is shorter than len(src).
-// No allocation occurs after the n and n/2 plans are warm.
-func (f *FFT) ForwardReal(dst []complex128, src []float64) {
-	n := len(src)
-	if f == nil || f.n != n {
-		p, err := Plan(n)
-		if err != nil {
-			return
-		}
-		f = p
-	}
-	if len(dst) < n {
-		return
-	}
-	dst = dst[:n]
-	if n == 1 {
-		dst[0] = complex(src[0], 0)
-		return
-	}
-	h := n / 2
-	halfPlan, err := Plan(h)
-	if err != nil {
-		return
-	}
-	z := dst[:h]
-	for j := 0; j < h; j++ {
-		z[j] = complex(src[2*j], src[2*j+1])
-	}
-	halfPlan.transform(z)
-	// Unpack: with E = DFT(even samples), O = DFT(odd samples),
-	// Z[k] = E[k] + i·O[k] and conj(Z[h-k]) = E[k] - i·O[k], so
-	// X[k] = E[k] + W^k·O[k] with W = exp(-2πi/n) = f.twiddle[1].
-	z0 := z[0]
-	dst[0] = complex(real(z0)+imag(z0), 0)
-	if h >= 1 {
-		dst[h] = complex(real(z0)-imag(z0), 0)
-	}
-	for k := 1; 2*k < h; k++ {
-		zk, zmk := z[k], z[h-k]
-		er := (zk + complex(real(zmk), -imag(zmk))) * 0.5
-		od := (zk - complex(real(zmk), -imag(zmk))) * complex(0, -0.5)
-		xk := er + f.twiddle[k]*od
-		xmk := complex(real(er), -imag(er)) + f.twiddle[h-k]*complex(real(od), -imag(od))
-		dst[k], dst[h-k] = xk, xmk
-		dst[n-k] = complex(real(xk), -imag(xk))
-		dst[n-h+k] = complex(real(xmk), -imag(xmk))
-	}
-	if h%2 == 0 && h >= 2 {
-		k := h / 2
-		zk := z[k]
-		xk := complex(real(zk), 0) + f.twiddle[k]*complex(imag(zk), 0)
-		dst[k] = xk
-		dst[n-k] = complex(real(xk), -imag(xk))
-	}
 }
 
 // NextPow2 returns the smallest power of two >= n (and >= 1).

@@ -203,47 +203,33 @@ func TestForwardWindowedMatchesGather(t *testing.T) {
 	}
 }
 
-// TestForwardRealMatchesNaiveDFT verifies the packed half-size real
-// transform (including its conjugate-symmetric upper half) against the
-// naive DFT of the same samples, over randomized inputs at every size.
-func TestForwardRealMatchesNaiveDFT(t *testing.T) {
-	r := rand.New(rand.NewSource(13))
-	for _, n := range []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024} {
-		for trial := 0; trial < 4; trial++ {
-			src := make([]float64, n)
-			asComplex := make([]complex128, n)
-			for i := range src {
-				src[i] = r.NormFloat64()
-				asComplex[i] = complex(src[i], 0)
-			}
-			want := naiveDFT(asComplex)
-			got := make([]complex128, n)
-			MustPlan(n).ForwardReal(got, src)
-			if e := maxErr(got, want); e > 1e-9*float64(n) {
-				t.Errorf("n=%d trial=%d: max error %g vs naive DFT", n, trial, e)
+// TestForwardIntoMatchesCopyTransform checks the scatter form of
+// ForwardInto against the copy, zero-fill and in-place transform it
+// replaced, bit for bit: src shorter than, as long as and longer than n,
+// an empty src, and a dst full of stale values.
+func TestForwardIntoMatchesCopyTransform(t *testing.T) {
+	r := rand.New(rand.NewSource(33))
+	for _, n := range []int{1, 2, 4, 8, 64, 1024} {
+		f := MustPlan(n)
+		for _, m := range []int{0, 1, n / 2, n - 1, n, n + 7} {
+			for family := 0; family < 4; family++ {
+				src := fftEdgeSignal(r, m, family)
+				got := make([]complex128, n)
+				for i := range got {
+					got[i] = complex(42, -42)
+				}
+				want := append([]complex128(nil), got...)
+				f.ForwardInto(got, src)
+				k := copy(want, src)
+				clear(want[k:])
+				f.transform(want)
+				for i := range got {
+					if !sameComplexBits(got[i], want[i]) {
+						t.Fatalf("n=%d len(src)=%d family=%d bin %d: scatter %v, copy+transform %v", n, m, family, i, got[i], want[i])
+					}
+				}
 			}
 		}
-	}
-}
-
-// TestForwardRealConjugateSymmetry pins the structural property consumers
-// rely on: X[n-k] = conj(X[k]) for real input.
-func TestForwardRealConjugateSymmetry(t *testing.T) {
-	r := rand.New(rand.NewSource(14))
-	n := 512
-	src := make([]float64, n)
-	for i := range src {
-		src[i] = r.NormFloat64()
-	}
-	got := make([]complex128, n)
-	MustPlan(n).ForwardReal(got, src)
-	for k := 1; k < n/2; k++ {
-		if d := cmplx.Abs(got[n-k] - cmplx.Conj(got[k])); d > 1e-9 {
-			t.Fatalf("bin %d: |X[n-k] - conj(X[k])| = %g", k, d)
-		}
-	}
-	if imag(got[0]) != 0 || imag(got[n/2]) != 0 {
-		t.Fatalf("DC/Nyquist bins not purely real: %v %v", got[0], got[n/2])
 	}
 }
 
@@ -412,23 +398,21 @@ func TestBinProbeMatchesForwardWindowed(t *testing.T) {
 }
 
 // TestKernelsAllocFree pins the warm-path allocation budget of every FFT
-// kernel entry point at zero: after the plans are cached, no transform
-// call may allocate.
+// and fold kernel entry point at zero: after the plans are cached, no
+// kernel call may allocate.
 func TestKernelsAllocFree(t *testing.T) {
 	n := 1024
 	f := MustPlan(n)
-	MustPlan(n / 2) // ForwardReal's half-size plan
 	probe, err := NewBinProbe(n/4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]complex128, n)
 	dst := make([]complex128, n)
-	re := make([]float64, n)
+	acc, sub := make(Spectrum, n/4), make(Spectrum, n/4)
 	r := rand.New(rand.NewSource(16))
 	for i := range buf {
 		buf[i] = complex(r.NormFloat64(), r.NormFloat64())
-		re[i] = r.NormFloat64()
 	}
 	checks := []struct {
 		name string
@@ -437,12 +421,12 @@ func TestKernelsAllocFree(t *testing.T) {
 		{"Forward", func() { f.Forward(buf) }},
 		{"ForwardInto", func() { f.ForwardInto(dst, buf) }},
 		{"ForwardWindowed", func() { f.ForwardWindowed(dst, buf, 100, 900) }},
-		{"ForwardReal", func() { f.ForwardReal(dst, re) }},
 		{"Inverse", func() { f.Inverse(buf) }},
 		{"DFTBin", func() { _ = DFTBin(buf, n, 41.25) }},
 		{"DFTBinPair", func() { _, _ = DFTBinPair(buf, n, 41.25, 3*n/4) }},
 		{"SearchFineGridPair", func() { _, _, _, _ = SearchFineGridPair(buf, n, 41, 3*n/4, 19, 1.0/16) }},
 		{"BinProbe", func() { probe.Load(buf, 41); _ = probe.Power(100, 612) }},
+		{"IntersectFold", func() { IntersectFold(acc, sub, nil, dst, n/4, 4); IntersectFold(acc, sub, buf, dst, n/4, 4) }},
 	}
 	for _, c := range checks {
 		if allocs := testing.AllocsPerRun(100, c.fn); allocs != 0 {
@@ -494,22 +478,6 @@ func BenchmarkForwardWindowedPrefix1024(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f.ForwardWindowed(dst, src, 0, 128*(1+i%7))
-	}
-}
-
-func BenchmarkForwardReal1024(b *testing.B) {
-	f := MustPlan(1024)
-	MustPlan(512)
-	src := make([]float64, 1024)
-	r := rand.New(rand.NewSource(22))
-	for i := range src {
-		src[i] = r.NormFloat64()
-	}
-	dst := make([]complex128, 1024)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.ForwardReal(dst, src)
 	}
 }
 

@@ -24,7 +24,20 @@ type Spectrum []float64
 // from wire-supplied windows): a dst of the wrong length is reallocated, and
 // an x shorter than bins*osr is treated as zero-extended — missing FFT bins
 // contribute no power.
+//
+// With AVX2, the shapes the decoder uses (osr > 1, bins a multiple of 4,
+// len(x) = bins·osr, dst of length bins) run the vector fold, bit for bit
+// the same; every other shape runs the Go loop.
 func FoldMagnitude(dst Spectrum, x []complex128, bins, osr int) Spectrum {
+	if foldMagnitudeVec(dst, x, bins, osr) {
+		return dst
+	}
+	return foldMagnitudeGo(dst, x, bins, osr)
+}
+
+// foldMagnitudeGo is FoldMagnitude's portable loop, the oracle the vector
+// fold is tested against.
+func foldMagnitudeGo(dst Spectrum, x []complex128, bins, osr int) Spectrum {
 	if len(dst) != bins {
 		dst = make(Spectrum, bins) //cic:alloc-ok: warm-up reallocation for a mismatched dst — steady-state callers pass the right-sized scratch and never allocate
 	}
@@ -154,6 +167,34 @@ func Intersect(dst, a, b Spectrum) Spectrum {
 		dst[i] = 0
 	}
 	return dst
+}
+
+// IntersectFold intersects into acc the unit-energy folded spectrum of
+// x, acc ∩= FoldMagnitude(x).Normalize(), or of full − x when full is
+// non-nil: for rectangular windows zero-padded onto one grid, a suffix
+// window's spectrum is the full window's minus its prefix's. This is one
+// ICSS sub-symbol of Eqn 12. sub is scratch for the fold and, after a
+// call with full non-nil, so is x: neither holds anything defined
+// afterwards.
+//
+// With AVX2 and FoldMagnitude's vector shape (acc and sub of length bins,
+// full as long as x), the difference, fold, energy sum, scaling and
+// minimum run in two vector passes, without writing the difference back
+// into x. Every other shape runs the composition IntersectInto(acc,
+// FoldMagnitude(sub, full − x).Normalize()), differenced over the common
+// prefix of full and x; both give the same bits.
+//
+//cic:hotpath
+func IntersectFold(acc, sub Spectrum, full, x []complex128, bins, osr int) {
+	if intersectFoldVec(acc, sub, full, x, bins, osr) {
+		return
+	}
+	if full != nil {
+		for i := range min(len(full), len(x)) {
+			x[i] = full[i] - x[i]
+		}
+	}
+	IntersectInto(acc, FoldMagnitude(sub, x, bins, osr).Normalize())
 }
 
 // IntersectInto folds b into acc with the element-wise minimum (acc ∩= b).

@@ -428,7 +428,7 @@ func PreambleClutter(cfg Config) (Figure, error) {
 			} else {
 				gen.Dechirp(dd, win)
 			}
-			fft.ForwardInto(dd, dd[:m])
+			fft.Forward(dd)
 			for i, v := range dd {
 				mag[i] = real(v)*real(v) + imag(v)*imag(v)
 			}

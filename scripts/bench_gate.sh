@@ -19,7 +19,7 @@ $GO test -run '^$' -bench 'GatewayStream|PreambleScanDownchirp' -benchtime=10x .
 	| $GO run ./cmd/cic-bench -gate BENCH_gateway.json
 
 echo "bench-gate: DSP kernels vs BENCH_dsp.json"
-$GO test -run '^$' -bench 'FFT4096|ForwardWindowed1024|ForwardWindowedPrefix1024|ForwardReal1024|DFTBin1024|DFTBinPair1024|SearchFineGridPair1024|BinProbe1024' -benchtime=1000x ./internal/dsp/ \
+$GO test -run '^$' -bench 'FFT4096|ForwardWindowed1024|ForwardWindowedPrefix1024|IntersectFold1024|DFTBin1024|DFTBinPair1024|SearchFineGridPair1024|BinProbe1024' -benchtime=1000x ./internal/dsp/ \
 	| $GO run ./cmd/cic-bench -gate BENCH_dsp.json
 
 echo "bench-gate: all benchmarks within committed allocation budgets"

@@ -80,20 +80,22 @@ bench:
 bench-gateway:
 	$(GO) test -run '^$$' -bench 'GatewayStream' -benchtime=5x ./
 
-# Re-record BENCH_gateway.json from a measured run: the gateway streaming
-# benchmark (including the instrumentation-overhead sub-benchmark, which
-# asserts the <=2% budget at >=10 iterations whenever the host is quiet
-# enough to resolve it) and the down-chirp preamble scan, piped through
-# cic-bench into the checked-in JSON shape.
+# Re-record BENCH_gateway.json from five measured runs: the gateway
+# streaming benchmark (including the instrumentation-overhead
+# sub-benchmark, which asserts the <=2% budget at >=10 iterations whenever
+# the host is quiet enough to resolve it) and the down-chirp preamble
+# scan, piped through cic-bench, which records each row's median with its
+# fastest and slowest run.
 bench-json:
-	$(GO) test -run '^$$' -bench 'GatewayStream|PreambleScanDownchirp' -benchtime=10x ./ | $(GO) run ./cmd/cic-bench -out BENCH_gateway.json \
+	$(GO) test -run '^$$' -bench 'GatewayStream|PreambleScanDownchirp' -benchtime=10x -count=5 ./ | $(GO) run ./cmd/cic-bench -out BENCH_gateway.json \
 		-description "Streaming ingest throughput through the Gateway's pipelined decode path on a 3-packet-collision trace, and the down-chirp preamble scan over a 3-packet collision (make bench-json)."
 
 # Re-record the full benchmark matrix: the gateway streaming record
-# (bench-json) plus the DSP kernel record. Run on the machine whose
+# (bench-json) plus the DSP kernel record, each row the median of five
+# runs. Run on the machine whose
 # numbers you intend to commit; the records embed the host environment.
 bench-matrix: bench-json
-	$(GO) test -run '^$$' -bench 'FFT4096|ForwardWindowed1024|ForwardWindowedPrefix1024|IntersectFold1024|DFTBin1024|DFTBinPair1024|SearchFineGridPair1024|BinProbe1024' -benchtime=1000x ./internal/dsp/ | \
+	$(GO) test -run '^$$' -bench 'FFT4096|ForwardWindowed1024|ForwardWindowedPrefix1024|IntersectFold1024|DFTBin1024|DFTBinPair1024|SearchFineGridPair1024|BinProbe1024' -benchtime=1000x -count=5 ./internal/dsp/ | \
 		$(GO) run ./cmd/cic-bench -out BENCH_dsp.json \
 		-benchmark "DSP kernels" \
 		-description "FFT kernel micro-benchmarks: radix-4 forward transform, fused windowed transform, ICSS-like prefix windowed transforms, one ICSS boundary's fused fold-and-intersect steps, Goertzel fractional-bin DTFT, its two-image pair probe, one two-image fine-grid search, and the candidate-bin SED probe (make bench-matrix)."
@@ -151,8 +153,9 @@ results:
 
 # Decode byte-identity against a base revision: builds cic-gen and
 # cic-decode at BASE (git archive under .bench_build/) and from this
-# checkout, and cmp's default, -workers 1 and -workers 2 -chunk 1000
-# output on three check captures. Not part of ci (minutes, and it needs
+# checkout, and cmp's output on three check captures in five modes:
+# default, -workers 1, -workers 2 -chunk 1000, -workers 2 -chunk 1048576
+# and -workers 1 at GOMAXPROCS=1. Not part of ci (minutes, and it needs
 # BASE). See scripts/decode_parity.sh.
 decode-parity:
 	@test -n "$(BASE)" || { echo "usage: make decode-parity BASE=<rev>" >&2; exit 2; }

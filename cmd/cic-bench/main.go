@@ -2,11 +2,14 @@
 // JSON shape used by the repository's BENCH_*.json records (see
 // BENCH_gateway.json). It parses the standard benchmark result lines plus
 // any custom metrics reported via b.ReportMetric (samples/sec,
-// overhead_%, decoded/op, ...), and stamps the host environment.
+// overhead_%, decoded/op, ...), and stamps the host environment. Repeated
+// runs of one benchmark (-count=N) fold into one row: every metric is
+// the runs' median, and the row records the run count and the fastest and
+// slowest ns/op, so a record shows the spread a comparison has to beat.
 //
 // Usage:
 //
-//	go test -run '^$' -bench GatewayStream -benchtime=5x ./ | cic-bench -out BENCH_gateway.json
+//	go test -run '^$' -bench GatewayStream -benchtime=10x -count=5 ./ | cic-bench -out BENCH_gateway.json
 //
 // With -gate it runs in regression-gate mode instead of record mode: the
 // fresh bench output on stdin is compared against a committed BENCH_*.json
@@ -26,6 +29,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -35,6 +39,11 @@ type result struct {
 	Name       string  `json:"name"`
 	Iterations int64   `json:"iterations"`
 	NsPerOp    float64 `json:"ns_per_op"`
+
+	// Spread over repeated runs, present when the row folds more than one.
+	Runs       int     `json:"runs,omitempty"`
+	NsPerOpMin float64 `json:"ns_per_op_min,omitempty"`
+	NsPerOpMax float64 `json:"ns_per_op_max,omitempty"`
 
 	// Optional metrics, present when the benchmark reports them.
 	SamplesPerSec float64 `json:"samples_per_sec,omitempty"`
@@ -112,6 +121,7 @@ func run() error {
 	if len(rec.Results) == 0 {
 		return fmt.Errorf("no benchmark result lines on stdin")
 	}
+	rec.Results = foldRuns(rec.Results)
 
 	if *gate != "" {
 		return runGate(*gate, rec.Results, *gateSlackPct, *gateSlackAbs, *gateTimeRatio)
@@ -200,6 +210,56 @@ func runGate(path string, fresh []result, slackPct float64, slackAbs int64, time
 	}
 	fmt.Fprintf(os.Stderr, "gate: %d benchmark(s) within budget of %s\n", checked, path)
 	return nil
+}
+
+// foldRuns folds repeated runs of each benchmark into one row, in order
+// of first appearance. Each metric is the median of the runs (the lower
+// middle run for an even count, so a gated allocs/op never rounds up).
+func foldRuns(runs []result) []result {
+	var names []string
+	byName := make(map[string][]result)
+	for _, r := range runs {
+		if _, ok := byName[r.Name]; !ok {
+			names = append(names, r.Name)
+		}
+		byName[r.Name] = append(byName[r.Name], r)
+	}
+	out := make([]result, 0, len(names))
+	for _, name := range names {
+		rs := byName[name]
+		if len(rs) == 1 {
+			out = append(out, rs[0])
+			continue
+		}
+		sorted := func(f func(result) float64) []float64 {
+			v := make([]float64, len(rs))
+			for i, r := range rs {
+				v[i] = f(r)
+			}
+			slices.Sort(v)
+			return v
+		}
+		median := func(f func(result) float64) float64 {
+			v := sorted(f)
+			return v[(len(v)-1)/2]
+		}
+		ns := sorted(func(r result) float64 { return r.NsPerOp })
+		out = append(out, result{
+			Name:          name,
+			Iterations:    rs[0].Iterations,
+			NsPerOp:       ns[(len(ns)-1)/2],
+			Runs:          len(rs),
+			NsPerOpMin:    ns[0],
+			NsPerOpMax:    ns[len(ns)-1],
+			SamplesPerSec: median(func(r result) float64 { return r.SamplesPerSec }),
+			MBPerSec:      median(func(r result) float64 { return r.MBPerSec }),
+			AllocsPerOp:   int64(median(func(r result) float64 { return float64(r.AllocsPerOp) })),
+			BytesPerOp:    int64(median(func(r result) float64 { return float64(r.BytesPerOp) })),
+			OverheadPct:   median(func(r result) float64 { return r.OverheadPct }),
+			DecodedPerOp:  median(func(r result) float64 { return r.DecodedPerOp }),
+		})
+	}
+	return out
 }
 
 // parseBenchLine parses one `BenchmarkName-N  iters  v unit  v unit ...`

@@ -64,3 +64,36 @@ func FuzzParseBenchLine(f *testing.F) {
 		}
 	})
 }
+
+// TestFoldRuns: repeated runs of one benchmark fold into one row holding
+// each metric's median plus the run count and the ns/op range; a single
+// run passes through unchanged, and rows keep first-appearance order.
+func TestFoldRuns(t *testing.T) {
+	var runs []result
+	for _, line := range []string{
+		"BenchmarkA-2 10 300 ns/op 5 B/op 7 allocs/op",
+		"BenchmarkB-2 10 50 ns/op",
+		"BenchmarkA-2 10 100 ns/op 5 B/op 9 allocs/op",
+		"BenchmarkA-2 10 200 ns/op 5 B/op 8 allocs/op",
+		"BenchmarkA-2 10 900 ns/op 5 B/op 8 allocs/op",
+	} {
+		r, ok := parseBenchLine(line)
+		if !ok {
+			t.Fatalf("rejected %q", line)
+		}
+		runs = append(runs, r)
+	}
+	got := foldRuns(runs)
+	if len(got) != 2 || got[0].Name != "BenchmarkA" || got[1].Name != "BenchmarkB" {
+		t.Fatalf("rows %+v", got)
+	}
+	// Four runs: the lower middle of 100/200/300/900 and of 7/8/8/9.
+	want := result{Name: "BenchmarkA", Iterations: 10, NsPerOp: 200, Runs: 4,
+		NsPerOpMin: 100, NsPerOpMax: 900, AllocsPerOp: 8, BytesPerOp: 5}
+	if got[0] != want {
+		t.Errorf("folded %+v, want %+v", got[0], want)
+	}
+	if got[1] != runs[1] {
+		t.Errorf("single run changed: %+v, want %+v", got[1], runs[1])
+	}
+}

@@ -48,32 +48,36 @@ import (
 // its end is on air: every transmission that could interfere with it is
 // tracked by then, and the CIC boundary bookkeeping is complete.
 //
-// Dispatch runs in two stages, both on the ingest goroutine and both in
-// start (air-time) order. The header stage decodes a packet's 8 header
-// symbols once the horizon past them is on air; this fixes the packet's
-// length, which later packets' boundary bookkeeping reads. The payload
-// stage waits for the horizon past the packet's real end, assigns its
-// sequence number, then snapshots its samples out of the ring with a
-// two-segment bulk copy and hands the expensive payload demodulation to a
-// pool of workers, each owning a private symbol picker. A short packet
-// therefore leaves shortly after it ends, not after a max-length airtime
-// budget. For AlgorithmLoRa the payload stage also applies the standard
-// gateway's single-demodulator capture lock: a packet that loses it is
-// never demodulated and emits nothing. A reorder buffer delivers results
-// on Packets() in sequence order, so the output sequence is identical to
-// a single-worker gateway.
+// Dispatch runs in two stages, both in start (air-time) order, on a stage
+// goroutine of their own: Write keeps the ring writes and the detection
+// scan, and hands each piece's detections over an unbuffered channel, so
+// the scan of the next piece overlaps the dispatch work of this one. The
+// header stage decodes a packet's 8 header symbols once the horizon past
+// them is on air; this fixes the packet's length, which later packets'
+// boundary bookkeeping reads. The payload stage waits for the horizon past
+// the packet's real end, assigns its sequence number, then snapshots its
+// samples out of the ring with a two-segment bulk copy and hands the
+// expensive payload demodulation to a pool of workers, each owning a
+// private symbol picker. A short packet therefore leaves shortly after it
+// ends, not after a max-length airtime budget. For AlgorithmLoRa the
+// payload stage also applies the standard gateway's single-demodulator
+// capture lock: a packet that loses it is never demodulated and emits
+// nothing. A reorder buffer delivers results on Packets() in sequence
+// order, so the output sequence is identical to a single-worker gateway.
 // Backpressure is bounded by the pool depth: when every worker is busy and
-// the job queue is full, Write blocks.
+// the job queue is full, the stage goroutine blocks, and Write blocks on
+// the hand-off behind it.
 //
 // Write, Close, Packets and BufferedSamples are all safe for concurrent
-// use (Write and Close serialise on an internal mutex).
+// use (Write and Close serialise on an internal mutex). A panic in the
+// header or payload stage fails the gateway: Write and Close then return
+// an error wrapping ErrGatewayPanic.
 type Gateway struct {
 	cfg  Config
 	fcfg frame.Config
 	algo algoSpec
 	// scan is the algorithm's detector (see rx.Detector.ScanDownchirpRange).
 	scan    func(src rx.SampleSource, start, end int64, tracked []*rx.Packet) []*rx.Packet
-	hdrPick rx.SymbolPicker // header demodulation on the ingest goroutine
 	out     chan Packet
 	maxPkt  int64 // samples in a max-length packet
 	scanLag int64 // how far detection trails the newest sample
@@ -82,20 +86,33 @@ type Gateway struct {
 	workers int
 
 	// Ingest state, guarded by wmu (Write, Close and the flush path
-	// serialise on it; ring samples are only touched while holding it).
-	wmu       sync.Mutex
-	closed    bool
-	buf       []complex128 // ring storage: sample a lives at buf[a%len(buf)]
-	base      atomic.Int64 // absolute index of the oldest retained sample
-	written   atomic.Int64 // absolute index one past the newest sample
-	scanned   int64        // scan frontier (exclusive)
-	pending   []*rx.Packet // detected, header not yet decoded
-	queued    []decodeJob  // header decoded, awaiting the payload stage (start order)
-	hdrOthers []*rx.Packet // header-stage interferer scratch
-	active    []*rx.Packet // all tracked packets still relevant as interferers
-	lockedBy  *rx.Packet   // capture-lock holder (AlgorithmLoRa only)
-	maxIDSeq  int
-	seq       int64 // next sequence number, assigned at the payload stage (reorder key)
+	// serialise on it). Only the ingest goroutine writes ring samples. The
+	// stage goroutine reads them without the lock; step keeps every sample
+	// it reads clear of the slots the next piece overwrites.
+	wmu      sync.Mutex
+	closed   bool
+	buf      []complex128 // ring storage: sample a lives at buf[a%len(buf)]
+	base     atomic.Int64 // absolute index of the oldest retained sample
+	written  atomic.Int64 // absolute index one past the newest sample
+	scanned  int64        // scan frontier (exclusive)
+	scanSrc  ringSource   // the scan's view of the ring
+	tracked  []*rx.Packet // the scan's duplicate filter: detections whose max-length span may still reach the ring
+	maxIDSeq int
+
+	// Stage state, owned by the stage goroutine. The packets it tracks are
+	// shared with tracked, but the scan reads only Start, which no stage
+	// writes.
+	pieces    chan piece            // unbuffered hand-off from Write to the stage goroutine
+	stageSrc  ringSource            // the ring as the running piece was written
+	stageDone chan struct{}         // closed when the stage goroutine exits
+	fault     atomic.Pointer[error] // the stage panic that failed the gateway; nil while healthy
+	hdrPick   rx.SymbolPicker       // header demodulation
+	pending   []*rx.Packet          // detected, header not yet decoded
+	queued    []decodeJob           // header decoded, awaiting the payload stage (start order)
+	hdrOthers []*rx.Packet          // header-stage interferer scratch
+	active    []*rx.Packet          // all tracked packets still relevant as interferers
+	lockedBy  *rx.Packet            // capture-lock holder (AlgorithmLoRa only)
+	seq       int64                 // next sequence number, assigned at the payload stage (reorder key)
 
 	jobs        chan decodeJob
 	results     chan seqPacket
@@ -106,10 +123,10 @@ type Gateway struct {
 	// Observability. reg is the WithMetrics registry (nil when detached);
 	// m is the pre-resolved handle set (the shared no-op set when reg is
 	// nil, so every stage updates fields unconditionally without branching
-	// on enablement). detectedAt stamps each tracked packet's wall-clock
+	// on enablement). detectedAt holds each pending packet's wall-clock
 	// detection instant for the decode-latency histogram and emit events;
 	// it is only allocated when metrics or tracing are on, so the disabled
-	// path never reads the clock. Guarded by wmu (ingest path only).
+	// path never reads the clock. Owned by the stage goroutine.
 	reg        *Metrics
 	m          *obs.DecodeMetrics
 	tracer     obs.Tracer
@@ -127,7 +144,17 @@ type Gateway struct {
 	flight *obs.FlightScope
 }
 
-// decodeJob carries one dispatched packet to the worker pool. The ingest
+// piece is one Write piece handed from the scan to the stage goroutine:
+// the detections of the scan that followed its ring write, and the ring
+// span and flush flag the serial pipeline would have run its stages with.
+type piece struct {
+	found         []*rx.Packet
+	at            time.Time // detection instant (zero when metrics and tracing are off)
+	base, written int64
+	flush         bool
+}
+
+// decodeJob carries one dispatched packet to the worker pool. The stage
 // goroutine has already decoded the header; the worker demodulates the
 // payload against a private snapshot of the ring, so it never contends
 // with ingest for sample access.
@@ -167,6 +194,11 @@ type seqPacket struct {
 
 // ErrGatewayClosed is returned by Write after Close.
 var ErrGatewayClosed = errors.New("cic: gateway closed")
+
+// ErrGatewayPanic is wrapped by the error Write and Close return once a
+// panic in the header or payload stage has failed the gateway. The
+// packets dispatched before the panic are still delivered.
+var ErrGatewayPanic = errors.New("cic: gateway stage panic")
 
 // algoSpec is what the Gateway runs for one algorithm: its detection scan,
 // its symbol picker, and whether the capture lock applies. Every picker
@@ -234,6 +266,9 @@ func NewGateway(cfg Config, options ...Option) (*Gateway, error) {
 	}
 	maxPkt := int64(fc.PreambleSampleCount() + phy.MaxSymbolCount(fc.PHY)*fc.Chirp.SamplesPerSymbol())
 	m := int64(fc.Chirp.SamplesPerSymbol())
+	// The ring must hold the longest packet plus detection lag plus a
+	// full scan region; triple the packet length is comfortably enough.
+	buf := make([]complex128, 3*maxPkt)
 	g := &Gateway{
 		cfg:     cfg,
 		fcfg:    fc,
@@ -243,12 +278,15 @@ func NewGateway(cfg Config, options ...Option) (*Gateway, error) {
 		out:     make(chan Packet, 64),
 		maxPkt:  maxPkt,
 		// Every scan window is buffered.
-		scanLag: m,
-		workers: workers,
-		// Ring must hold the longest packet plus detection lag plus a full
-		// scan region; triple the packet length is comfortably enough.
-		buf:         make([]complex128, 3*maxPkt),
+		scanLag:     m,
+		workers:     workers,
+		buf:         buf,
+		scanSrc:     ringSource{buf: buf},
+		tracked:     make([]*rx.Packet, 0, 16), // sized up front, as the ring is
+		stageSrc:    ringSource{buf: buf},
 		scanned:     -m, // the first window starts a symbol early, as in a whole-span scan
+		pieces:      make(chan piece),
+		stageDone:   make(chan struct{}),
 		jobs:        make(chan decodeJob, workers),
 		results:     make(chan seqPacket, workers),
 		reorderDone: make(chan struct{}),
@@ -272,9 +310,10 @@ func NewGateway(cfg Config, options ...Option) (*Gateway, error) {
 	// TestGatewayDetectionHorizon).
 	g.horizon = 12*m + det.ResolveLag(g.scanLag)
 	// A packet still waiting for either stage starts at most maxPkt+horizon
-	// before the newest sample, so a Write piece of this size never evicts
-	// samples a stage has yet to read.
-	g.step = int64(len(g.buf)) - maxPkt - g.horizon
+	// before the newest sample the stages last ran with. The stage
+	// goroutine may still read those samples while the next piece is
+	// written, so two pieces of this size never evict them.
+	g.step = (int64(len(g.buf)) - maxPkt - g.horizon) / 2
 	if o.metrics != nil || o.tracer != nil {
 		g.detectedAt = make(map[int]time.Time)
 	}
@@ -291,6 +330,7 @@ func NewGateway(cfg Config, options ...Option) (*Gateway, error) {
 		g.workerWG.Add(1)
 		go g.worker(pk)
 	}
+	go g.stage()
 	go func() {
 		g.reorder()
 		close(g.reorderDone)
@@ -312,21 +352,24 @@ func (g *Gateway) Workers() int { return g.workers }
 
 // Write appends IQ samples to the stream and processes whatever became
 // decodable. A write of any size decodes as the same samples written in
-// small chunks would: it is taken in ring-safe pieces, each processed
-// before the next. Write may block when every decode worker is busy and
-// the job queue is full, or when the Packets channel is full
-// (backpressure).
+// small chunks would: it is taken in ring-safe pieces, each scanned and
+// then handed to the stage goroutine. Write may block when every decode
+// worker is busy and the job queue is full, or when the Packets channel
+// is full (backpressure).
 func (g *Gateway) Write(iq []complex128) (int, error) {
 	g.wmu.Lock()
 	defer g.wmu.Unlock()
 	if g.closed {
 		return 0, ErrGatewayClosed
 	}
+	if err := g.failed(); err != nil {
+		return 0, err
+	}
 	g.m.SamplesIngested.Add(int64(len(iq)))
 	for rest := iq; len(rest) > 0; {
 		n := min(int64(len(rest)), g.step)
 		g.writeBulk(rest[:n])
-		g.process(false) //cic:lock-ok: dispatch sends on g.jobs under wmu by design — the bounded queue is the documented backpressure contract, and Close (the only other wmu holder) drains it
+		g.pieces <- g.scanPiece(false) //cic:lock-ok: the hand-off blocks under wmu by design — the stage goroutine's dispatch is the documented backpressure, it never takes wmu, and it keeps receiving after a fault
 		rest = rest[n:]
 	}
 	return len(iq), nil
@@ -342,12 +385,22 @@ func (g *Gateway) Close() error {
 	if g.closed {
 		return nil
 	}
-	g.process(true) //cic:lock-ok: final flush under wmu serialises with Write; workers drain g.jobs so the send cannot block forever
 	g.closed = true
+	g.pieces <- g.scanPiece(true) //cic:lock-ok: final flush under wmu serialises with Write; the stage goroutine never takes wmu and workers drain g.jobs, so the send cannot block forever
+	close(g.pieces)
+	<-g.stageDone //cic:lock-ok: shutdown handshake — the stage goroutine exits once pieces closes, and g.jobs must not close before its last dispatch
 	close(g.jobs)
 	g.workerWG.Wait() //cic:lock-ok: shutdown barrier — workers never take wmu, so the wait under it cannot deadlock, and holding it keeps Write/Close mutually exclusive
 	close(g.results)
 	<-g.reorderDone //cic:lock-ok: reorder goroutine exits once results closes; the receive is the shutdown handshake, not a steady-state block
+	return g.failed()
+}
+
+// failed returns the error that failed the gateway, nil while healthy.
+func (g *Gateway) failed() error {
+	if err := g.fault.Load(); err != nil {
+		return *err
+	}
 	return nil
 }
 
@@ -367,21 +420,24 @@ func (g *Gateway) writeBulk(iq []complex128) {
 	g.written.Store(newWritten)
 }
 
-// readRing fills dst with samples for the absolute window
-// [start, start+len(dst)), zero-filling outside the retained span, using
-// at most two copy calls. Caller holds wmu (the ring is only mutated and
-// read on the ingest path; decode workers read private snapshots).
-func (g *Gateway) readRing(dst []complex128, start int64) {
-	n := int64(len(g.buf))
-	base, written := g.base.Load(), g.written.Load()
+// ringSource reads the ring as an rx.SampleSource with the span
+// [base, written) it had when a piece was written: the scan's reads on
+// the ingest goroutine, and the stage goroutine's header demodulation and
+// payload snapshots for that piece. Each goroutine owns one, so passing
+// it as an interface allocates nothing.
+type ringSource struct {
+	buf           []complex128
+	base, written int64
+}
+
+// Read fills dst with samples for the absolute window
+// [start, start+len(dst)), zero-filling outside the source's span, using
+// at most two copy calls.
+func (r *ringSource) Read(dst []complex128, start int64) {
+	buf := r.buf
+	n := int64(len(buf))
 	lo, hi := start, start+int64(len(dst))
-	from, to := lo, hi
-	if from < base {
-		from = base
-	}
-	if to > written {
-		to = written
-	}
+	from, to := max(lo, r.base), min(hi, r.written)
 	if to <= from {
 		clear(dst)
 		return
@@ -390,53 +446,37 @@ func (g *Gateway) readRing(dst []complex128, start int64) {
 	clear(dst[to-lo:])
 	span := to - from
 	pos := from % n
-	first := n - pos
-	if first > span {
-		first = span
-	}
-	copy(dst[from-lo:], g.buf[pos:pos+first])
-	copy(dst[from-lo+first:to-lo], g.buf[:span-first])
+	first := min(n-pos, span)
+	copy(dst[from-lo:], buf[pos:pos+first])
+	copy(dst[from-lo+first:to-lo], buf[:span-first])
 }
 
-// ringSource adapts the ring buffer as an rx.SampleSource for the ingest
-// goroutine (detection and header demodulation).
-type ringSource struct{ g *Gateway }
+func (r *ringSource) Span() (int64, int64) { return r.base, r.written }
 
-func (r ringSource) Read(dst []complex128, start int64) { r.g.readRing(dst, start) }
-
-func (r ringSource) Span() (int64, int64) {
-	return r.g.base.Load(), r.g.written.Load()
-}
-
-// process advances detection, then runs the two dispatch stages in
-// air-time order. Each stage waits for the detection horizon past the
-// span it reads, by which time every transmission that could overlap that
-// span has been detected; flush forces both stages over everything
-// currently buffered. Caller holds wmu.
-func (g *Gateway) process(flush bool) {
-	src := ringSource{g}
-	written := g.written.Load()
-
-	// Detection trails the newest sample by scanLag so every scan window is
-	// fully buffered.
-	scanTo := written - g.scanLag
+// scanPiece advances detection over the piece just written and returns
+// the piece for the stage goroutine. Detection trails the newest sample by
+// scanLag so every scan window is fully buffered; flush scans to the end.
+// Caller holds wmu.
+func (g *Gateway) scanPiece(flush bool) piece {
+	pc := piece{base: g.base.Load(), written: g.written.Load(), flush: flush}
+	scanTo := pc.written - g.scanLag
 	if flush {
-		scanTo = written
+		scanTo = pc.written
 	}
 	if scanTo > g.scanned {
 		t0 := g.m.DetectTime.Start()
-		found := g.scan(src, g.scanned, scanTo, g.active)
+		g.scanSrc.base, g.scanSrc.written = pc.base, pc.written
+		pc.found = g.scan(&g.scanSrc, g.scanned, scanTo, g.tracked)
 		g.m.DetectTime.Since(t0)
-		for _, p := range found {
+		if g.detectedAt != nil && len(pc.found) > 0 {
+			pc.at = obs.Now()
+		}
+		for _, p := range pc.found {
 			g.maxIDSeq++
 			p.ID = g.maxIDSeq
 			p.NSymbols = phy.MaxSymbolCount(g.fcfg.PHY)
-			g.pending = append(g.pending, p)
-			g.active = append(g.active, p)
+			g.tracked = append(g.tracked, p)
 			g.m.PreamblesDetected.Inc()
-			if g.detectedAt != nil {
-				g.detectedAt[p.ID] = obs.Now()
-			}
 			if g.tracer != nil {
 				g.tracer(obs.Event{
 					Kind:     obs.EventDetect,
@@ -450,6 +490,56 @@ func (g *Gateway) process(flush bool) {
 		}
 		g.scanned = scanTo
 	}
+	// Keep a packet while its max-length span may still reach the ring.
+	// That is a superset of the stage's active list, and the difference
+	// never matters: the duplicate rule looks only near anchors, which lie
+	// far past a retired packet.
+	keep := g.tracked[:0]
+	for _, q := range g.tracked {
+		if q.Start+g.maxPkt > pc.base {
+			keep = append(keep, q)
+		}
+	}
+	clear(g.tracked[len(keep):])
+	g.tracked = keep
+	return pc
+}
+
+// stage is the stage goroutine: it runs each handed-over piece in Write
+// order, then exits once Close closes pieces. After a fault it keeps
+// receiving, so Write and Close never block on a dead stage.
+func (g *Gateway) stage() {
+	defer close(g.stageDone)
+	for pc := range g.pieces {
+		if g.fault.Load() == nil {
+			g.runPiece(pc)
+		}
+	}
+}
+
+// runPiece runs the two dispatch stages for one piece in air-time order,
+// with the ring span the piece was written with. Each stage waits for the
+// detection horizon past the span it reads, by which time every
+// transmission that could overlap that span has been detected; flush
+// forces both stages over everything buffered. A panic here fails the
+// gateway instead of the process: the packets already dispatched are
+// still delivered, and Write and Close return the fault.
+func (g *Gateway) runPiece(pc piece) {
+	defer func() {
+		if v := recover(); v != nil {
+			err := fmt.Errorf("%w: %v", ErrGatewayPanic, v)
+			g.fault.Store(&err)
+		}
+	}()
+	src := &g.stageSrc
+	src.base, src.written = pc.base, pc.written
+	g.pending = append(g.pending, pc.found...)
+	g.active = append(g.active, pc.found...)
+	if g.detectedAt != nil {
+		for _, p := range pc.found {
+			g.detectedAt[p.ID] = pc.at
+		}
+	}
 
 	// Header stage, oldest start first.
 	for len(g.pending) > 0 {
@@ -460,7 +550,7 @@ func (g *Gateway) process(flush bool) {
 			}
 		}
 		p := g.pending[idx]
-		if !flush && p.SymbolStart(g.fcfg, phy.HeaderSymbolCount)+g.horizon > written {
+		if !pc.flush && p.SymbolStart(g.fcfg, phy.HeaderSymbolCount)+g.horizon > pc.written {
 			break
 		}
 		g.pending = append(g.pending[:idx], g.pending[idx+1:]...)
@@ -473,7 +563,7 @@ func (g *Gateway) process(flush bool) {
 	// steal its max-length span.
 	for len(g.queued) > 0 {
 		job := g.queued[0]
-		if !flush && (!job.ready || g.algo.captureLock) && job.pkt.End(g.fcfg)+g.horizon > written {
+		if !pc.flush && (!job.ready || g.algo.captureLock) && job.pkt.End(g.fcfg)+g.horizon > pc.written {
 			break
 		}
 		n := copy(g.queued, g.queued[1:])
@@ -482,15 +572,14 @@ func (g *Gateway) process(flush bool) {
 		if g.algo.captureLock && !g.holdsLock(job.pkt) {
 			continue
 		}
-		g.dispatch(job)
+		g.dispatch(src, job)
 	}
 
 	// Retire tracked packets whose samples have left the ring: they can no
 	// longer interfere with anything still decodable.
-	base := g.base.Load()
 	keep := g.active[:0]
 	for _, q := range g.active {
-		if q.End(g.fcfg) > base {
+		if q.End(g.fcfg) > pc.base {
 			keep = append(keep, q)
 		}
 	}
@@ -517,8 +606,7 @@ func (g *Gateway) holdsLock(p *rx.Packet) bool {
 	return true
 }
 
-// decodeHeader runs the header stage for one packet on the ingest
-// goroutine: it decodes the header block and fixes the packet's length,
+// decodeHeader runs the header stage for one packet: it decodes the header block and fixes the packet's length,
 // which later packets' boundary bookkeeping reads. The returned job waits
 // in g.queued for the payload stage.
 func (g *Gateway) decodeHeader(src rx.SampleSource, p *rx.Packet) decodeJob {
@@ -564,7 +652,7 @@ func (g *Gateway) decodeHeader(src rx.SampleSource, p *rx.Packet) decodeJob {
 // geometry out of the ring and queues the payload for a pool worker (a
 // header-failed job is forwarded as is). The send blocks when the pool is
 // saturated (bounded backpressure).
-func (g *Gateway) dispatch(job decodeJob) {
+func (g *Gateway) dispatch(src *ringSource, job decodeJob) {
 	t0 := g.m.DispatchTime.Start()
 	job.seq = g.seq
 	g.seq++
@@ -580,7 +668,7 @@ func (g *Gateway) dispatch(job decodeJob) {
 	if !job.ready {
 		// Private clones of the packet and interferer geometry plus a bulk
 		// copy of the packet's samples, so the worker reads without
-		// touching the ring or the ingest lock.
+		// touching the ring.
 		geo = make([]rx.Packet, 0, len(g.active))
 		geo = append(geo, *p)
 		job.others = make([]*rx.Packet, 0, len(g.active)-1)
@@ -612,7 +700,7 @@ func (g *Gateway) dispatch(job decodeJob) {
 			*bufp = make([]complex128, need)
 		}
 		job.snap = (*bufp)[:need]
-		g.readRing(job.snap, p.Start)
+		src.Read(job.snap, p.Start)
 		job.snapBuf = bufp
 		job.snapStart = p.Start
 	}

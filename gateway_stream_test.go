@@ -204,7 +204,8 @@ func TestGatewayWorkerParity(t *testing.T) {
 
 // TestGatewayConcurrentWriteClose is the -race regression for the
 // Gateway.closed data race: Write, Close, BufferedSamples and Packets
-// consumption all run concurrently.
+// consumption all run concurrently, and Close returns only after the
+// stage goroutine has exited.
 func TestGatewayConcurrentWriteClose(t *testing.T) {
 	cfg := cic.DefaultConfig()
 	gw, err := cic.NewGateway(cfg, cic.WithWorkers(2))
@@ -243,6 +244,9 @@ func TestGatewayConcurrentWriteClose(t *testing.T) {
 	<-wrote
 	if err := gw.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if !cic.StageExited(gw) {
+		t.Error("stage goroutine still running after Close")
 	}
 	if err := gw.Close(); err != nil {
 		t.Errorf("second Close: %v", err)

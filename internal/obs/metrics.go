@@ -7,6 +7,7 @@ const (
 	MetricDetectWindows      = "detect_windows"
 	MetricDetectCandidates   = "detect_candidates"
 	MetricDetectRejects      = "detect_rejects"
+	MetricDetectDuplicates   = "detect_duplicates"
 	MetricPreamblesDetected  = "preambles_detected"
 	MetricHeadersDecoded     = "headers_decoded"
 	MetricHeaderFailures     = "header_failures"
@@ -44,6 +45,7 @@ type DecodeMetrics struct {
 	DetectWindows      *Counter
 	DetectCandidates   *Counter
 	DetectRejects      *Counter
+	DetectDuplicates   *Counter
 	PreamblesDetected  *Counter
 	HeadersDecoded     *Counter
 	HeaderFailures     *Counter
@@ -91,6 +93,7 @@ func NewDecodeMetrics(r *Registry) *DecodeMetrics {
 		DetectWindows:      r.Counter(MetricDetectWindows),
 		DetectCandidates:   r.Counter(MetricDetectCandidates),
 		DetectRejects:      r.Counter(MetricDetectRejects),
+		DetectDuplicates:   r.Counter(MetricDetectDuplicates),
 		PreamblesDetected:  r.Counter(MetricPreamblesDetected),
 		HeadersDecoded:     r.Counter(MetricHeadersDecoded),
 		HeaderFailures:     r.Counter(MetricHeaderFailures),

@@ -531,6 +531,7 @@ func (det *Detector) resolveCandidates(src SampleSource, end int64, tracked []*P
 			continue
 		}
 		if near(tracked, pkt.Start, 0, m/2) || near(pkts, pkt.Start, 0, m/2) {
+			det.opts.Metrics.DetectDuplicates.Inc()
 			continue
 		}
 		pkts = append(pkts, det.keep(src, pkt)) //cic:alloc-ok — accepted detections escape to the caller

@@ -372,6 +372,105 @@ func TestChaosWorkerPanicIsolated(t *testing.T) {
 	}
 }
 
+// TestChaosStagePanicIsolated injects a panic into one session's header
+// stage, on the Gateway's stage goroutine (via a tracer that panics on
+// that session's header event), and asserts the same containment as for
+// a worker panic: the poisoned session fails, the healthy concurrent
+// session publishes every packet, the recovery is counted as an ingest
+// panic rather than a worker panic, and the daemon keeps serving.
+func TestChaosStagePanicIsolated(t *testing.T) {
+	cfg := testConfig()
+	sym := int64(cfg.SamplesPerSymbol())
+	// The healthy trace's packets start 0, 13 and 26 symbols into its
+	// stream; the poisoned session's only packet starts 6 symbols in.
+	poisonStart := 6*sym + 55
+	srv, addr, sink, reg := chaosServer(t, server.Config{
+		GatewayOptions: []cic.Option{
+			cic.WithTracer(func(ev cic.Event) {
+				if ev.Kind == cic.EventHeader && ev.Start > poisonStart-3*sym && ev.Start < poisonStart+3*sym {
+					panic("injected header-stage panic")
+				}
+			}),
+		},
+	})
+
+	healthyIQ, healthyPayloads := collisionTrace(t, cfg, 41, "healthy")
+	src, err := cic.SimulateCollision(cfg, []cic.Emission{
+		{Payload: []byte("poison-pkt"), StartSample: 4096, SNR: 25, CFO: 900},
+	}, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A simulated trace starts at its first packet.
+	poisonIQ := append(make([]complex128, poisonStart), cic.Samples(src)...)
+
+	healthyErr := make(chan error, 1)
+	go func() {
+		c, err := server.Dial(addr)
+		if err == nil {
+			err = c.Hello("healthy", cfg)
+		}
+		if err == nil {
+			err = c.WriteIQ(healthyIQ)
+		}
+		if err == nil {
+			err = c.Close()
+		}
+		healthyErr <- err
+	}()
+
+	pc, err := server.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pc.Hello("poison", cfg); err != nil {
+		t.Fatal(err)
+	}
+	werr := pc.WriteIQ(poisonIQ)
+	quiet := make([]complex128, chaosChunk)
+	for i := 0; i < 1000 && werr == nil; i++ {
+		werr = pc.WriteIQ(quiet)
+		time.Sleep(time.Millisecond)
+	}
+	if werr == nil {
+		t.Fatal("poisoned session never failed: stage panic not propagated")
+	}
+	t.Logf("poisoned session failed as expected: %v", werr)
+	pc.Abort()
+
+	if err := <-healthyErr; err != nil {
+		t.Fatalf("healthy session: %v", err)
+	}
+	snap := reg.Snapshot()
+	if got := snap.Counters[server.MetricPanicsRecovered]; got < 1 {
+		t.Errorf("%s = %d, want ≥ 1", server.MetricPanicsRecovered, got)
+	}
+	if got := snap.Counters[obs.MetricWorkerPanics]; got != 0 {
+		t.Errorf("%s = %d, want 0 (the panic was not on a worker)", obs.MetricWorkerPanics, got)
+	}
+	c, err := server.Dial(addr)
+	if err != nil {
+		t.Fatalf("daemon unreachable after panic: %v", err)
+	}
+	if err := c.Hello("aftermath", cfg); err != nil {
+		t.Fatalf("daemon rejects sessions after panic: %v", err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatalf("aftermath close: %v", err)
+	}
+
+	recs := shutdownAndCollect(t, srv, sink)["healthy"]
+	ok := 0
+	for _, r := range recs {
+		if r.OK {
+			ok++
+		}
+	}
+	if ok != len(healthyPayloads) {
+		t.Errorf("healthy session published %d verified packets, want %d", ok, len(healthyPayloads))
+	}
+}
+
 // TestChaosProcessRestartResume models a front-end process restart (the
 // scripts/smoke.sh scenario): the first client streams half the capture
 // and dies abruptly; a brand-new client resumes the same station within

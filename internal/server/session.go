@@ -3,6 +3,7 @@ package server
 import (
 	"crypto/rand"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"log/slog"
 	"strconv"
@@ -214,19 +215,17 @@ func (s *Session) Failed() error {
 // but never past the session's write timeout: a decode pipeline that
 // cannot admit one IQ frame within the deadline fails this session
 // (counted in server_decode_deadlines) instead of wedging its handler.
-// A panic escaping the ingest-side decode path (detection, header
-// demodulation) is likewise contained to this session.
+// A panic in the ingest-side decode path is likewise contained to this
+// session: one escaping detection on this goroutine, or one the Gateway
+// recovered in its header or payload stage and returns as
+// cic.ErrGatewayPanic.
 func (s *Session) Write(iq []complex128) (err error) {
 	if ferr := s.Failed(); ferr != nil {
 		return fmt.Errorf("session failed: %w", ferr)
 	}
 	defer func() {
 		if v := recover(); v != nil {
-			s.m.PanicsRecovered.Inc()
-			s.flight.RecordErr("ingest_panic", "detection/header decode", fmt.Sprint(v))
-			s.logError("decode ingest panic", "panic", fmt.Sprint(v))
-			err = fmt.Errorf("decode ingest panic: %v", v)
-			s.fail(err)
+			err = s.ingestPanic(v)
 		}
 	}()
 	if s.writeTimeout > 0 {
@@ -239,6 +238,9 @@ func (s *Session) Write(iq []complex128) (err error) {
 		defer t.Stop()
 	}
 	if _, err := s.gw.Write(iq); err != nil {
+		if errors.Is(err, cic.ErrGatewayPanic) {
+			return s.ingestPanic(err)
+		}
 		if ferr := s.Failed(); ferr != nil {
 			return fmt.Errorf("session failed: %w", ferr)
 		}
@@ -246,6 +248,18 @@ func (s *Session) Write(iq []complex128) (err error) {
 	}
 	s.ingested.Add(int64(len(iq)))
 	return nil
+}
+
+// ingestPanic fails the session on a panic recovered in the ingest-side
+// decode path (v is the recovered value or the Gateway's
+// ErrGatewayPanic) and returns the session's error.
+func (s *Session) ingestPanic(v any) error {
+	s.m.PanicsRecovered.Inc()
+	s.flight.RecordErr("ingest_panic", "detection/header decode", fmt.Sprint(v))
+	s.logError("decode ingest panic", "panic", fmt.Sprint(v))
+	err := fmt.Errorf("decode ingest panic: %v", v)
+	s.fail(err)
+	return err
 }
 
 // Ingested reports the samples accepted into the Gateway so far — the
@@ -292,7 +306,13 @@ func (s *Session) publish() {
 // concurrently with Write.
 func (s *Session) Drain() error {
 	var err error
-	s.drainOnce.Do(func() { err = s.gw.Close() })
+	s.drainOnce.Do(func() {
+		// A stage panic no Write has reported yet (say, in the final
+		// flush) fails the session here.
+		if err = s.gw.Close(); errors.Is(err, cic.ErrGatewayPanic) && s.Failed() == nil {
+			err = s.ingestPanic(err)
+		}
+	})
 	<-s.pubDone
 	return err
 }

@@ -6,11 +6,12 @@
 # Builds cic-gen and cic-decode at <rev> (from a git archive under
 # .bench_build/) and from this checkout, generates the three check
 # captures with each side's cic-gen, decodes each capture in the default
-# mode, with `-workers 1` and with `-workers 2 -chunk 1000` with each
-# side's cic-decode, and compares every capture and every output with
-# cmp. Exits non-zero on the first difference. A change that claims to
-# leave decoding untouched (a refactor, or an exact-identity speed-up)
-# runs this against its parent. Not part of `make ci`: it takes a few
+# mode, with `-workers 1`, with `-workers 2 -chunk 1000`, with `-workers 2
+# -chunk 1048576` (one read spans several ring-safe Write pieces) and with
+# `-workers 1` at GOMAXPROCS=1 with each side's cic-decode, and compares
+# every capture and every output with cmp. Exits non-zero on the first
+# difference. A change that claims to leave decoding untouched (a
+# refactor, or an exact-identity speed-up) runs this against its parent. Not part of `make ci`: it takes a few
 # minutes and needs a second revision.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -43,10 +44,13 @@ captures=(
 	"d3-r60-s1|-deployment D3 -rate 60 -seconds 4 -seed 1|"
 	"sf10-d1-r20-s2|-deployment D1 -rate 20 -seconds 6 -seed 2 -sf 10|-sf 10"
 )
+# name | cic-decode flags | environment
 modes=(
-	"default|"
-	"w1|-workers 1"
-	"w2-c1000|-workers 2 -chunk 1000"
+	"default||"
+	"w1|-workers 1|"
+	"w2-c1000|-workers 2 -chunk 1000|"
+	"w2-c1m|-workers 2 -chunk 1048576|"
+	"w1-gmp1|-workers 1|GOMAXPROCS=1"
 )
 
 fail=0
@@ -62,11 +66,11 @@ for c in "${captures[@]}"; do
 		continue
 	fi
 	for mode in "${modes[@]}"; do
-		IFS='|' read -r mname mflags <<<"$mode"
+		IFS='|' read -r mname mflags menv <<<"$mode"
 		for side in base head; do
 			start=$EPOCHREALTIME
 			# shellcheck disable=SC2086
-			"$out/$side/cic-decode" $dec ${sideflags[$side]} $mflags -in "$out/$name.base.cf32" \
+			env $menv "$out/$side/cic-decode" $dec ${sideflags[$side]} $mflags -in "$out/$name.base.cf32" \
 				>"$out/$name.$mname.$side.out"
 			awk -v a="$start" -v b="$EPOCHREALTIME" -v l="  $name $mname $side" \
 				'BEGIN { printf "%-36s %6.1f s\n", l, b - a }'

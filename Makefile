@@ -121,12 +121,14 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseExperimentConfig$$' -fuzztime $(FUZZTIME) ./internal/experiment/
 
 # Chaos end-to-end suite: concurrent sessions under seeded fault
-# schedules (forced disconnects, worker panics, process-restart resume)
+# schedules (forced disconnects, decode panics, process-restart resume)
 # must produce record-identical NDJSON vs a fault-free run, and the
 # cluster suite does the same across a sharded fleet (backend kills,
 # partitions, rebalances mid-collision). The seed matrix is fixed
-# inside the tests so runs are reproducible.
+# inside the tests so runs are reproducible. TestGatewayStagePanic
+# injects a panic at each of the Gateway's fault sites.
 chaos:
+	$(GO) test -race -run '^TestGatewayStagePanic$$' -count=1 .
 	$(GO) test -race -run '^TestChaos' -count=1 ./internal/server/ ./internal/cluster/
 
 # Loopback end-to-end smoke of the ingestion pipeline:

@@ -69,9 +69,11 @@ import (
 // the hand-off behind it.
 //
 // Write, Close, Packets and BufferedSamples are all safe for concurrent
-// use (Write and Close serialise on an internal mutex). A panic in the
-// header or payload stage fails the gateway: Write and Close then return
-// an error wrapping ErrGatewayPanic.
+// use (Write and Close serialise on an internal mutex). A panic anywhere
+// in the pipeline (the scan, the stage goroutine, a worker, or delivery,
+// callbacks included) fails the gateway: the packets sequenced before it
+// are still delivered, and Write and Close return an error wrapping
+// ErrGatewayPanic.
 type Gateway struct {
 	cfg  Config
 	fcfg frame.Config
@@ -105,7 +107,7 @@ type Gateway struct {
 	pieces    chan piece            // unbuffered hand-off from Write to the stage goroutine
 	stageSrc  ringSource            // the ring as the running piece was written
 	stageDone chan struct{}         // closed when the stage goroutine exits
-	fault     atomic.Pointer[error] // the stage panic that failed the gateway; nil while healthy
+	fault     atomic.Pointer[error] // the first panic, which failed the gateway; nil while healthy
 	hdrPick   rx.SymbolPicker       // header demodulation
 	pending   []*rx.Packet          // detected, header not yet decoded
 	queued    []decodeJob           // header decoded, awaiting the payload stage (start order)
@@ -132,15 +134,13 @@ type Gateway struct {
 	tracer     obs.Tracer
 	detectedAt map[int]time.Time
 
-	// Resilience hooks (WithDecodeInterceptor / WithPanicHook): the
-	// interceptor transforms each worker result before reorder; the
-	// panic hook observes recovered worker panics. Both nil by default.
+	// intercept (WithDecodeInterceptor) transforms each worker result
+	// before reorder; nil by default.
 	intercept func(Packet) Packet
-	panicHook func(stage string, recovered any)
 
-	// flight records emit verdicts and worker-panic incidents into the
-	// session's flight-recorder scope (WithFlightScope). Nil when no
-	// recorder is attached; never touched from the //cic:hotpath loop.
+	// flight records emit verdicts and panics into the session's
+	// flight-recorder scope (WithFlightScope). Nil when no recorder is
+	// attached; never touched from the //cic:hotpath loop.
 	flight *obs.FlightScope
 }
 
@@ -196,9 +196,17 @@ type seqPacket struct {
 var ErrGatewayClosed = errors.New("cic: gateway closed")
 
 // ErrGatewayPanic is wrapped by the error Write and Close return once a
-// panic in the header or payload stage has failed the gateway. The
-// packets dispatched before the panic are still delivered.
-var ErrGatewayPanic = errors.New("cic: gateway stage panic")
+// panic has failed the gateway. The packets sequenced before the panic
+// are still delivered.
+var ErrGatewayPanic = errors.New("cic: gateway panic")
+
+// The fault sites: where a panic fails the gateway (see recoverFault).
+const (
+	siteScan   = "scan"   // ring write and detection scan, on the Write goroutine
+	siteStage  = "stage"  // header and payload stages, on the stage goroutine
+	siteWorker = "worker" // payload demodulation and the interceptor
+	siteEmit   = "emit"   // delivery and its tracer and flight callbacks
+)
 
 // algoSpec is what the Gateway runs for one algorithm: its detection scan,
 // its symbol picker, and whether the capture lock applies. Every picker
@@ -294,7 +302,6 @@ func NewGateway(cfg Config, options ...Option) (*Gateway, error) {
 		m:           dmx,
 		tracer:      obs.Tracer(o.tracer),
 		intercept:   o.intercept,
-		panicHook:   o.panicHook,
 		flight:      o.flight,
 	}
 	if spec.upchirp {
@@ -366,11 +373,9 @@ func (g *Gateway) Write(iq []complex128) (int, error) {
 		return 0, err
 	}
 	g.m.SamplesIngested.Add(int64(len(iq)))
-	for rest := iq; len(rest) > 0; {
-		n := min(int64(len(rest)), g.step)
-		g.writeBulk(rest[:n])
-		g.pieces <- g.scanPiece(false) //cic:lock-ok: the hand-off blocks under wmu by design — the stage goroutine's dispatch is the documented backpressure, it never takes wmu, and it keeps receiving after a fault
-		rest = rest[n:]
+	g.ingest(iq, false) //cic:lock-ok: the hand-off blocks under wmu by design — the stage goroutine's dispatch is the documented backpressure, it never takes wmu, and it keeps receiving after a fault
+	if err := g.failed(); err != nil {
+		return 0, err
 	}
 	return len(iq), nil
 }
@@ -386,7 +391,7 @@ func (g *Gateway) Close() error {
 		return nil
 	}
 	g.closed = true
-	g.pieces <- g.scanPiece(true) //cic:lock-ok: final flush under wmu serialises with Write; the stage goroutine never takes wmu and workers drain g.jobs, so the send cannot block forever
+	g.ingest(nil, true) //cic:lock-ok: final flush under wmu serialises with Write; the stage goroutine never takes wmu and workers drain g.jobs, so the hand-off cannot block forever
 	close(g.pieces)
 	<-g.stageDone //cic:lock-ok: shutdown handshake — the stage goroutine exits once pieces closes, and g.jobs must not close before its last dispatch
 	close(g.jobs)
@@ -402,6 +407,43 @@ func (g *Gateway) failed() error {
 		return *err
 	}
 	return nil
+}
+
+// recoverFault is the gateway's one fault path, deferred at each fault
+// site. A panic there fails the gateway instead of the process: the first
+// one is kept, wrapped in ErrGatewayPanic, for Write and Close to return,
+// and each one is recorded as <site>_panic in the flight scope. After a
+// fault the pipeline stops taking new work but keeps draining, so neither
+// Write nor Close blocks, and every packet sequenced before the fault is
+// still delivered.
+func (g *Gateway) recoverFault(site string) {
+	v := recover()
+	if v == nil {
+		return
+	}
+	if site == siteWorker {
+		g.m.WorkerPanics.Inc()
+	}
+	g.flight.RecordErr(site+"_panic", "gateway "+site, fmt.Sprint(v))
+	err := fmt.Errorf("%w: %s: %v", ErrGatewayPanic, site, v)
+	g.fault.CompareAndSwap(nil, &err)
+}
+
+// ingest writes iq to the ring in ring-safe pieces, scanning each and
+// handing it to the stage goroutine; flush then hands over a last piece
+// scanned to the end. It stops at the gateway's first fault. Caller holds
+// wmu.
+func (g *Gateway) ingest(iq []complex128, flush bool) {
+	defer g.recoverFault(siteScan)
+	for rest := iq; len(rest) > 0 && g.fault.Load() == nil; {
+		n := min(int64(len(rest)), g.step)
+		g.writeBulk(rest[:n])
+		g.pieces <- g.scanPiece(false)
+		rest = rest[n:]
+	}
+	if flush && g.fault.Load() == nil {
+		g.pieces <- g.scanPiece(true)
+	}
 }
 
 // writeBulk appends samples (at most one ring's worth) to the ring with
@@ -521,16 +563,9 @@ func (g *Gateway) stage() {
 // with the ring span the piece was written with. Each stage waits for the
 // detection horizon past the span it reads, by which time every
 // transmission that could overlap that span has been detected; flush
-// forces both stages over everything buffered. A panic here fails the
-// gateway instead of the process: the packets already dispatched are
-// still delivered, and Write and Close return the fault.
+// forces both stages over everything buffered.
 func (g *Gateway) runPiece(pc piece) {
-	defer func() {
-		if v := recover(); v != nil {
-			err := fmt.Errorf("%w: %v", ErrGatewayPanic, v)
-			g.fault.Store(&err)
-		}
-	}()
+	defer g.recoverFault(siteStage)
 	src := &g.stageSrc
 	src.base, src.written = pc.base, pc.written
 	g.pending = append(g.pending, pc.found...)
@@ -756,41 +791,12 @@ func (g *Gateway) worker(pick rx.AlternatePicker) {
 }
 
 // runJob decodes one dispatched job and forwards the result. A panic
-// anywhere in the payload path (or in the interceptor) is contained to
-// this one packet: the job's prefilled result is forwarded undecoded so
-// the reorder sequence still advances, the worker_panics_recovered
-// counter ticks, and the panic hook (if any) observes the value — the
-// worker then keeps serving the queue. Without this, one hostile packet
-// would kill the process and with it every other session's gateway.
+// here fails the gateway and forwards nothing, so delivery stops at this
+// job's sequence number.
 func (g *Gateway) runJob(ws *workerState, job decodeJob) {
 	g.m.WorkersBusy.Add(1)
 	defer g.m.WorkersBusy.Add(-1)
-	done := false
-	defer func() {
-		if done {
-			return
-		}
-		v := recover()
-		g.m.WorkerPanics.Inc()
-		if g.flight != nil {
-			g.flight.RecordErr("worker_panic",
-				fmt.Sprintf("packet %d seq %d forwarded undecoded", job.id, job.seq),
-				fmt.Sprint(v))
-		}
-		if g.panicHook != nil {
-			g.panicHook("payload", v)
-		}
-		// The snapshot buffer is not repooled: the panic may have left it
-		// aliased, and losing one buffer per recovered panic is cheap.
-		g.results <- seqPacket{
-			seq:        job.seq,
-			pkt:        job.result,
-			id:         job.id,
-			gates:      job.gates,
-			detectedAt: job.detectedAt,
-			doneAt:     g.m.ReorderWait.Start(),
-		}
-	}()
+	defer g.recoverFault(siteWorker)
 	pkt := job.result
 	gates := job.gates // header-phase verdicts tallied at dispatch
 	nsyms := 0
@@ -807,7 +813,6 @@ func (g *Gateway) runJob(ws *workerState, job decodeJob) {
 	if g.intercept != nil {
 		pkt = g.intercept(pkt)
 	}
-	done = true
 	g.results <- seqPacket{
 		seq:        job.seq,
 		pkt:        pkt,
@@ -864,36 +869,44 @@ func (g *Gateway) decodePayload(ws *workerState, job decodeJob) Packet {
 
 // reorder delivers worker results on the Packets channel in dispatch
 // order. The held map is bounded by the number of jobs in flight, which
-// the pool depth bounds in turn.
+// the pool depth bounds in turn. After an emit fault it delivers nothing
+// more, but drains results until Close closes it.
 func (g *Gateway) reorder() {
 	defer close(g.out)
 	next := int64(0)
 	held := make(map[int64]seqPacket)
 	for r := range g.results {
+		if next < 0 {
+			continue // an emit panicked
+		}
 		if r.seq != next {
 			held[r.seq] = r
 			g.m.ReorderHeld.Set(int64(len(held)))
 			continue
 		}
-		g.emit(r)
-		next++
 		for {
+			if !g.emit(r) {
+				next = -1
+				break
+			}
+			next++
 			p, ok := held[next]
 			if !ok {
 				break
 			}
 			delete(held, next)
 			g.m.ReorderHeld.Set(int64(len(held)))
-			g.emit(p)
-			next++
+			r = p
 		}
 	}
 }
 
 // emit delivers one packet in dispatch order and settles its latency
 // accounting: time held in the reorder buffer, preamble-detect to emit
-// latency, and the emit trace event.
-func (g *Gateway) emit(r seqPacket) {
+// latency, and the emit trace event. It reports false when it panicked,
+// which fails the gateway.
+func (g *Gateway) emit(r seqPacket) (ok bool) {
+	defer g.recoverFault(siteEmit)
 	g.m.ReorderWait.Since(r.doneAt)
 	g.out <- r.pkt
 	g.m.PacketsEmitted.Inc()
@@ -927,6 +940,7 @@ func (g *Gateway) emit(r seqPacket) {
 			Gates:  &gates,
 		})
 	}
+	return true
 }
 
 // overlaps reports whether q's span [Start, End) intersects p's.

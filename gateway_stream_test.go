@@ -245,8 +245,8 @@ func TestGatewayConcurrentWriteClose(t *testing.T) {
 	if err := gw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if !cic.StageExited(gw) {
-		t.Error("stage goroutine still running after Close")
+	if !cic.PipelineExited(gw) {
+		t.Error("stage or reorder goroutine still running after Close")
 	}
 	if err := gw.Close(); err != nil {
 		t.Errorf("second Close: %v", err)

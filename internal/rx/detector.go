@@ -9,71 +9,54 @@ import (
 	"cic/internal/obs"
 )
 
-// DetectorOptions tunes preamble detection.
-type DetectorOptions struct {
-	// DownchirpThreshold: a down-chirp candidate needs a de-chirped peak at
+// Detection thresholds.
+const (
+	// downchirpThreshold: a down-chirp candidate needs a de-chirped peak at
 	// least this many times the spectrum's MEAN bin power. A genuine
 	// down-chirp concentrates coherently (peak/mean ≈ 2^SF at high SNR)
 	// while mismatched data chirps smear into speckle with peak/mean ≈ 10–20,
 	// so the mean — unlike the median — is robust to how much of the band
-	// the interference occupies. Default 40.
-	DownchirpThreshold float64
-	// UpchirpThreshold: minimum peak-to-floor ratio for a window to
-	// contribute peaks to the up-chirp run matcher. Default 8.
-	UpchirpThreshold float64
-	// UpchirpRun: number of consecutive symbol windows whose top peaks must
-	// agree (±1 bin) for the conventional up-chirp detector. Default 6.
-	UpchirpRun int
+	// the interference occupies.
+	downchirpThreshold = 40.0
+	// upchirpThreshold: minimum peak-to-floor ratio for a window to
+	// contribute peaks to the up-chirp run matcher.
+	upchirpThreshold = 8.0
+	// upchirpRun: number of consecutive symbol windows whose top peaks must
+	// agree (±1 bin) for the conventional up-chirp detector.
+	upchirpRun = 6
+	// verifyMinScore: minimum number of preamble/SYNC symbols (of 10) that
+	// must demodulate correctly to accept a detection. A ±1-symbol
+	// misalignment matches at most 7 of 10, so 8 rejects the shifted
+	// aliases of a real preamble while tolerating two noise-lost symbols.
+	verifyMinScore = 8
+	// verifyPeakFactor: a preamble/SYNC symbol counts as matched when the
+	// folded power at the expected bin (±1) is at least this many times the
+	// spectrum's noise floor (≈10.8 dB). The check is deliberately not
+	// max-peak based: under collisions a stronger concurrent transmission
+	// legitimately owns the global maximum.
+	verifyPeakFactor = 12.0
+	// maxCFOBins bounds the absolute carrier-frequency-offset hypothesis in
+	// LoRa bins during synchronisation; hypotheses beyond it are interferer
+	// tones, not our packet (≈23 kHz at SF8/250 kHz).
+	maxCFOBins = 24.0
+)
+
+// DetectorOptions tunes preamble detection.
+type DetectorOptions struct {
 	// UpchirpTopK: how many peaks per window participate in up-chirp run
 	// matching. Default 1 — the conventional receiver searches for "8
 	// consecutive peaks with the same frequency" (paper §3), i.e. the
 	// global maximum only, which is what collisions and sub-noise SNR
 	// defeat (Figs 32–35). Track-based receivers (FTrack) raise this.
 	UpchirpTopK int
-	// VerifyMinScore: minimum number of preamble/SYNC symbols (of 10) that
-	// must demodulate correctly to accept a detection. Default 8: a
-	// ±1-symbol misalignment matches at most 7 of 10, so 8 rejects the
-	// shifted aliases of a real preamble while tolerating two noise-lost
-	// symbols.
-	VerifyMinScore int
-	// VerifyPeakFactor: a preamble/SYNC symbol counts as matched when the
-	// folded power at the expected bin (±1) is at least this many times the
-	// spectrum's noise floor. The check is deliberately not max-peak based:
-	// under collisions a stronger concurrent transmission legitimately owns
-	// the global maximum. Default 12 (≈10.8 dB).
-	VerifyPeakFactor float64
-	// MaxCFOBins bounds the absolute carrier-frequency-offset hypothesis in
-	// LoRa bins during synchronisation; hypotheses beyond it are interferer
-	// tones, not our packet. Default 24 (≈23 kHz at SF8/250 kHz).
-	MaxCFOBins float64
-	// MaxPackets bounds the number of detections per scan (0 = unlimited).
-	MaxPackets int
 	// Metrics receives the detector's stage counters (scan windows,
 	// candidate anchors, verification rejects). Nil disables them.
 	Metrics *obs.DecodeMetrics
 }
 
 func (o *DetectorOptions) setDefaults() {
-	if o.DownchirpThreshold == 0 {
-		o.DownchirpThreshold = 40
-	}
-	if o.UpchirpThreshold == 0 {
-		o.UpchirpThreshold = 8
-	}
-	if o.UpchirpRun == 0 {
-		o.UpchirpRun = 6
-	}
 	if o.UpchirpTopK == 0 {
 		o.UpchirpTopK = 1
-	}
-	if o.VerifyMinScore == 0 {
-		o.VerifyMinScore = 8
-	}
-	if o.VerifyPeakFactor == 0 {
-		o.VerifyPeakFactor = 12
-	}
-	if o.MaxCFOBins == 0 {
-		o.MaxCFOBins = 24
 	}
 	if o.Metrics == nil {
 		o.Metrics = obs.Nop()
@@ -137,7 +120,7 @@ type Detector struct {
 	reach   int64
 
 	// Up-chirp run state carried across contiguous ScanUpchirpRange calls:
-	// the last UpchirpRun windows and the next window position.
+	// the last upchirpRun windows and the next window position.
 	upHist []upWindow
 	upNext int64
 }
@@ -177,11 +160,11 @@ func NewDetector(cfg frame.Config, opts DetectorOptions) (*Detector, error) {
 		anchors:  make([]int64, 0, 32),
 		// A window's peak bin maps to an anchor offset of at most
 		// ±(M/2)·OSR samples. align shifts the anchor at most three times
-		// by (MaxCFOBins + N/2)·OSR samples each (a larger shift breaks
+		// by (maxCFOBins + N/2)·OSR samples each (a larger shift breaks
 		// the CFO budget), then reads up to three symbols past it (the
 		// +1-symbol trial's second down-chirp).
 		spread:   int64(m * cfg.Chirp.OSR / 2),
-		reach:    3*int64(math.Ceil((opts.MaxCFOBins+float64(n)/2)*float64(cfg.Chirp.OSR))) + 3*int64(m),
+		reach:    3*int64(math.Ceil((maxCFOBins+float64(n)/2)*float64(cfg.Chirp.OSR))) + 3*int64(m),
 		hyposBuf: make([]int, 0, 16),
 		bUpsBuf:  make([]float64, 0, 4),
 		fracsBuf: make([]float64, 0, frame.PreambleUpchirps),
@@ -316,7 +299,7 @@ func (det *Detector) ScanDownchirpRange(src SampleSource, start, end int64, trac
 		}
 		meanPow /= float64(m)
 		peak, bin := mag.Max()
-		if meanPow <= 0 || peak < det.opts.DownchirpThreshold*meanPow {
+		if meanPow <= 0 || peak < downchirpThreshold*meanPow {
 			continue
 		}
 		// bin = (e/OSR + δ) mod M where e is the down-chirp start relative
@@ -377,7 +360,7 @@ func (det *Detector) ScanUpchirpRange(src SampleSource, start, end int64, tracke
 	if first != det.upNext {
 		history = history[:0]
 	}
-	run := det.opts.UpchirpRun
+	run := upchirpRun
 
 	p := first
 	for ; p < end; p += m {
@@ -392,7 +375,7 @@ func (det *Detector) ScanUpchirpRange(src SampleSource, start, end int64, tracke
 		// Keep only peaks meaningfully above the floor.
 		kept := peaks[:0]
 		for _, pk := range peaks {
-			if floor <= 0 || pk.Power >= det.opts.UpchirpThreshold*floor {
+			if floor <= 0 || pk.Power >= upchirpThreshold*floor {
 				kept = append(kept, pk)
 			}
 		}
@@ -473,7 +456,7 @@ func (det *Detector) localDownchirp(src SampleSource, from int64, symbols int) (
 		}
 		meanPow /= float64(m)
 		peak, bin := mag.Max()
-		if meanPow <= 0 || peak < det.opts.DownchirpThreshold*meanPow {
+		if meanPow <= 0 || peak < downchirpThreshold*meanPow {
 			continue
 		}
 		if peak > bestPower {
@@ -535,9 +518,6 @@ func (det *Detector) resolveCandidates(src SampleSource, end int64, tracked []*P
 			continue
 		}
 		pkts = append(pkts, det.keep(src, pkt)) //cic:alloc-ok — accepted detections escape to the caller
-		if det.opts.MaxPackets > 0 && len(pkts) >= det.opts.MaxPackets {
-			break
-		}
 	}
 	if final {
 		done = len(det.anchors)
@@ -738,7 +718,7 @@ func (det *Detector) refineHypothesis(src SampleSource, dcAnchor int64, bUpHypo 
 		slices.Sort(bUps)
 		bUp := 0.5 * (bUps[1] + bUps[2]) // median of 4
 		cfoBins = (bUp + bDownW) / 2
-		if math.Abs(cfoBins) > det.opts.MaxCFOBins {
+		if math.Abs(cfoBins) > maxCFOBins {
 			return Packet{}, false
 		}
 		epsChips := (bDownW - bUp) / 2
@@ -848,7 +828,7 @@ func nearestPeak(mag dsp.Spectrum, expect float64, radius int) (float64, float64
 // verify scores the 8 preamble up-chirps and 2 SYNC symbols of pkt, given
 // their folded spectra (de-chirped with the packet's timing and CFO) and
 // noise floors; it estimates the reference peak amplitude and SNR, and
-// accepts when the score reaches VerifyMinScore.
+// accepts when the score reaches verifyMinScore.
 //
 //cic:hotpath
 func (det *Detector) verify(src SampleSource, pkt *Packet, specs []dsp.Spectrum, floors []float64) bool {
@@ -870,7 +850,7 @@ func (det *Detector) verify(src SampleSource, pkt *Packet, specs []dsp.Spectrum,
 			peak = dn
 		}
 		nf := floors[i]
-		if nf > 0 && peak >= det.opts.VerifyPeakFactor*nf {
+		if nf > 0 && peak >= verifyPeakFactor*nf {
 			score++
 			amps = append(amps, math.Sqrt(peak))
 			snrs = append(snrs, dsp.DB(peak/nf))
@@ -878,7 +858,7 @@ func (det *Detector) verify(src SampleSource, pkt *Packet, specs []dsp.Spectrum,
 	}
 	det.ampsBuf, det.snrsBuf = amps, snrs
 	pkt.Score = score
-	if score < det.opts.VerifyMinScore {
+	if score < verifyMinScore {
 		return false
 	}
 	// Mandatory down-chirp gate: up-chirp windows cannot distinguish the

@@ -43,62 +43,20 @@ func TestSynchronizeAccuracyGrid(t *testing.T) {
 	}
 }
 
-// TestSynchronizeRejectsExcessCFO: hypotheses beyond MaxCFOBins are
+// TestSynchronizeRejectsExcessCFO: hypotheses beyond maxCFOBins are
 // interferer tones and must not produce a packet.
 func TestSynchronizeRejectsExcessCFO(t *testing.T) {
 	cfg := testCfg()
 	m := cfg.Chirp.SamplesPerSymbol()
-	det, err := NewDetector(cfg, DetectorOptions{MaxCFOBins: 4})
+	det, err := NewDetector(cfg, DetectorOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// CFO of 8 bins exceeds the 4-bin budget.
+	// A CFO of 32 bins exceeds the 24-bin budget.
 	start := int64(6000)
-	src, _ := buildAir(t, cfg, []byte("toofar"), start, 25, 8*cfg.Chirp.BinWidth(), false, 1)
+	src, _ := buildAir(t, cfg, []byte("toofar"), start, 25, 32*cfg.Chirp.BinWidth(), false, 1)
 	if pkt, ok := det.Synchronize(src, start+int64(10*m)); ok {
 		t.Errorf("accepted packet with out-of-budget CFO: %v", pkt)
-	}
-}
-
-// TestDetectorOptionDefaults documents the default knob values.
-func TestDetectorOptionDefaults(t *testing.T) {
-	var o DetectorOptions
-	o.setDefaults()
-	if o.DownchirpThreshold != 40 || o.UpchirpThreshold != 8 ||
-		o.UpchirpRun != 6 || o.UpchirpTopK != 1 ||
-		o.VerifyMinScore != 8 || o.VerifyPeakFactor != 12 || o.MaxCFOBins != 24 {
-		t.Errorf("defaults changed: %+v", o)
-	}
-}
-
-// TestMaxPacketsBound: the scan stops tracking after MaxPackets.
-func TestMaxPacketsBound(t *testing.T) {
-	cfg := testCfg()
-	mod, err := frame.NewModulator(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ems []channel.Emission
-	gap := int64(cfg.PacketSampleCount(8) + 2*cfg.Chirp.SamplesPerSymbol())
-	for i := 0; i < 4; i++ {
-		wave, _, err := mod.Modulate([]byte("maxpkts"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ems = append(ems, channel.Emission{
-			Start: 4096 + int64(i)*gap,
-			Samples: channel.Apply(wave, channel.Impairments{
-				Amplitude: channel.AmplitudeForSNR(25), SampleRate: cfg.Chirp.SampleRate(),
-			}),
-		})
-	}
-	src := SourceFromRenderer(channel.NewRenderer(ems, cfg.Chirp.OSR, 4))
-	det, err := NewDetector(cfg, DetectorOptions{MaxPackets: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pkts := det.ScanDownchirp(src); len(pkts) != 2 {
-		t.Errorf("MaxPackets=2 returned %d packets", len(pkts))
 	}
 }
 

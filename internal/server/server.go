@@ -116,8 +116,8 @@ type Config struct {
 // Resilience: a session opened with RESUME survives its connection —
 // on abnormal disconnect it is parked for Config.ParkTimeout and a
 // reconnecting client reclaims it, replaying from the acknowledged
-// sample offset. A decode-worker panic or decode deadline fails only
-// the offending session; the daemon keeps serving.
+// sample offset. A decode panic or decode deadline fails only the
+// offending session; the daemon keeps serving.
 type Server struct {
 	cfg  Config
 	m    *serverMetrics

@@ -57,8 +57,8 @@ type Session struct {
 	ingested     atomic.Int64
 	writeTimeout time.Duration
 
-	// failErr records the first unrecoverable session fault (a recovered
-	// decode panic, a decode deadline); once set, Write refuses and the
+	// failErr records the first unrecoverable session fault (a decode
+	// panic, a decode deadline); once set, Write refuses and the
 	// connection handler fails the session with an ERROR frame.
 	failMu  sync.Mutex
 	failErr error
@@ -144,10 +144,6 @@ func NewSessionOpts(id uint64, h Hello, o SessionOptions, sink *Fanout) (*Sessio
 		opts = append(opts, cic.WithFlightScope(s.flight))
 	}
 	opts = append(opts, o.GatewayOptions...)
-	// The panic hook is installed last so a worker panic always fails
-	// exactly this session, even when GatewayOptions carries its own
-	// experimental hooks.
-	opts = append(opts, cic.WithPanicHook(s.onPanic))
 	gw, err := cic.NewGateway(cfg, opts...)
 	if err != nil {
 		return nil, err
@@ -178,21 +174,10 @@ func (s *Session) logError(msg string, args ...any) {
 	}
 }
 
-// onPanic is the Gateway's panic hook: a recovered decode-worker panic
-// fails this session (and only this session) — the daemon keeps serving
-// every other connection.
-func (s *Session) onPanic(stage string, recovered any) {
-	s.m.PanicsRecovered.Inc()
-	// The gateway already put a worker_panic event in the flight ring
-	// (same scope); here we add the session-fate consequence.
-	s.flight.RecordErr("session_failed", "decode "+stage+" worker panic", fmt.Sprint(recovered))
-	s.logError("decode worker panic", "stage", stage, "panic", fmt.Sprint(recovered))
-	s.fail(fmt.Errorf("decode %s worker panic: %v", stage, recovered))
-}
-
-// fail records the session's first fault and drains it asynchronously
-// (Drain cannot run on the faulting goroutine: a worker draining its own
-// pool would deadlock). Subsequent Writes surface the fault.
+// fail records the session's first fault and drains the session
+// asynchronously: fail is also reached from inside Drain, and from the
+// deadline timer while a Write holds the Gateway, where a synchronous
+// Drain would deadlock or wedge. Subsequent Writes surface the fault.
 func (s *Session) fail(err error) {
 	s.failMu.Lock()
 	if s.failErr == nil {
@@ -215,19 +200,12 @@ func (s *Session) Failed() error {
 // but never past the session's write timeout: a decode pipeline that
 // cannot admit one IQ frame within the deadline fails this session
 // (counted in server_decode_deadlines) instead of wedging its handler.
-// A panic in the ingest-side decode path is likewise contained to this
-// session: one escaping detection on this goroutine, or one the Gateway
-// recovered in its header or payload stage and returns as
-// cic.ErrGatewayPanic.
-func (s *Session) Write(iq []complex128) (err error) {
+// A decode panic, which the Gateway returns as cic.ErrGatewayPanic,
+// likewise fails this session only.
+func (s *Session) Write(iq []complex128) error {
 	if ferr := s.Failed(); ferr != nil {
 		return fmt.Errorf("session failed: %w", ferr)
 	}
-	defer func() {
-		if v := recover(); v != nil {
-			err = s.ingestPanic(v)
-		}
-	}()
 	if s.writeTimeout > 0 {
 		t := time.AfterFunc(s.writeTimeout, func() {
 			s.m.DecodeDeadlines.Inc()
@@ -239,7 +217,7 @@ func (s *Session) Write(iq []complex128) (err error) {
 	}
 	if _, err := s.gw.Write(iq); err != nil {
 		if errors.Is(err, cic.ErrGatewayPanic) {
-			return s.ingestPanic(err)
+			return s.failPanic(err)
 		}
 		if ferr := s.Failed(); ferr != nil {
 			return fmt.Errorf("session failed: %w", ferr)
@@ -250,16 +228,16 @@ func (s *Session) Write(iq []complex128) (err error) {
 	return nil
 }
 
-// ingestPanic fails the session on a panic recovered in the ingest-side
-// decode path (v is the recovered value or the Gateway's
-// ErrGatewayPanic) and returns the session's error.
-func (s *Session) ingestPanic(v any) error {
+// failPanic is the session's one reaction to a decode panic, which the
+// Gateway reports from Write or Close as cic.ErrGatewayPanic: it counts
+// the panic, records session_failed, logs it and fails this session (and
+// only this session — the daemon keeps serving every other connection).
+func (s *Session) failPanic(err error) error {
 	s.m.PanicsRecovered.Inc()
-	s.flight.RecordErr("ingest_panic", "detection/header decode", fmt.Sprint(v))
-	s.logError("decode ingest panic", "panic", fmt.Sprint(v))
-	err := fmt.Errorf("decode ingest panic: %v", v)
+	s.flight.RecordErr("session_failed", "decode panic", err.Error())
+	s.logError("decode panic", "err", err.Error())
 	s.fail(err)
-	return err
+	return fmt.Errorf("session failed: %w", err)
 }
 
 // Ingested reports the samples accepted into the Gateway so far — the
@@ -307,10 +285,10 @@ func (s *Session) publish() {
 func (s *Session) Drain() error {
 	var err error
 	s.drainOnce.Do(func() {
-		// A stage panic no Write has reported yet (say, in the final
+		// A decode panic no Write has reported yet (say, in the final
 		// flush) fails the session here.
 		if err = s.gw.Close(); errors.Is(err, cic.ErrGatewayPanic) && s.Failed() == nil {
-			err = s.ingestPanic(err)
+			err = s.failPanic(err)
 		}
 	})
 	<-s.pubDone
@@ -386,7 +364,7 @@ func (d *decodeStream) MayPark(cause error) bool { return cause == nil && d.Fail
 
 func (d *decodeStream) Abandon() {
 	if ferr := d.Failed(); ferr != nil {
-		// The session died of a decode incident (worker panic, decode
+		// The session died of a decode incident (decode panic, decode
 		// deadline): snapshot its flight trail while the ring still
 		// holds it.
 		d.srv.dumpFlight("session post-mortem", d.CID, "trigger", ferr.Error())

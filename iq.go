@@ -12,11 +12,6 @@ import (
 	"cic/internal/dsp"
 )
 
-// newDecimator adapts the internal FIR decimator.
-func newDecimator(factor int) (*dsp.Decimator, error) {
-	return dsp.NewDecimator(factor, 0)
-}
-
 // IQ file handling in the .cf32 format used by GNU Radio and most SDR
 // tooling: interleaved little-endian float32 pairs (I, Q).
 
@@ -117,7 +112,7 @@ func ReadCF32File(path string) ([]complex128, error) {
 // working rate. For example, a 2 MHz USRP capture of 250 kHz LoRa
 // (8× oversampled) decimated by 2 decodes with Oversampling: 4.
 func Decimate(iq []complex128, factor int) ([]complex128, error) {
-	d, err := newDecimator(factor)
+	d, err := dsp.NewDecimator(factor, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -83,10 +83,10 @@ func WithTracer(fn func(Event)) Option {
 }
 
 // WithFlightScope attaches a flight-recorder scope to a Gateway: emit
-// verdicts and worker-panic incidents are recorded into the ring under
-// the scope's correlation id. Recording is off the //cic:hotpath decode
-// loop (events fire at the emit boundary and on recovery paths) and a
-// nil scope is a free no-op.
+// verdicts and decode panics (<site>_panic) are recorded into the ring
+// under the scope's correlation id. Recording is off the //cic:hotpath
+// decode loop (events fire at the emit boundary and on recovery paths)
+// and a nil scope is a free no-op.
 func WithFlightScope(s *FlightScope) Option {
 	return func(o *receiverOptions) { o.flight = s }
 }

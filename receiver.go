@@ -50,7 +50,6 @@ type receiverOptions struct {
 	flight  *obs.FlightScope
 
 	intercept func(Packet) Packet
-	panicHook func(stage string, recovered any)
 }
 
 // WithAlgorithm selects the decoding algorithm (default AlgorithmCIC).
@@ -86,21 +85,10 @@ func WithoutPowerFilter() Option {
 // every decoded packet passes through f before the reorder stage, so a
 // deployment can filter, annotate or transform packets in-pipeline. f
 // runs on a worker goroutine and must be safe for concurrent calls; a
-// panic inside f is contained by the worker's recovery (the packet is
-// delivered undecoded and the panic hook fires). A Receiver's batch
-// decodes run it too.
+// panic inside f fails the gateway like any decode panic (Write and Close
+// return ErrGatewayPanic). A Receiver's batch decodes run it too.
 func WithDecodeInterceptor(f func(Packet) Packet) Option {
 	return func(o *receiverOptions) { o.intercept = f }
-}
-
-// WithPanicHook installs h as the Gateway's panic observer: a panic
-// recovered on a decode worker (stage "payload") invokes h with the
-// recovered value instead of crashing the process. The packet whose
-// decode panicked is delivered undecoded (OK=false) so delivery order
-// is preserved. h runs on the panicking goroutine and must not itself
-// panic. A Receiver's batch decodes run it too.
-func WithPanicHook(h func(stage string, recovered any)) Option {
-	return func(o *receiverOptions) { o.panicHook = h }
 }
 
 // Receiver decodes LoRa packets — including collided ones — from whole
